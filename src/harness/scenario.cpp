@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 
-#include "harness/run_detail.hpp"
+#include "harness/thread_budget.hpp"
 #include "hrmc/modeled.hpp"
 #include "hrmc/receiver.hpp"
 #include "hrmc/sender.hpp"
@@ -12,27 +13,147 @@
 #include "kern/mem.hpp"
 #include "kern/skbuff.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/shard.hpp"
 
 namespace hrmc::harness {
 
-using detail::is_control_packet;
-using detail::kGroupAddr;
-using detail::kGroupPort;
+namespace {
+
+constexpr net::Addr kGroupAddr = net::make_addr(224, 5, 5, 5);
+constexpr net::Port kGroupPort = 7500;
+
+/// Control-plane classifier for chaos control-loss faults: everything
+/// except the payload-bearing types (DATA, FEC) is control. Undecodable
+/// packets are not control — they die at the checksum either way.
+bool is_control_packet(const kern::SkBuff& skb) {
+  const auto h = proto::peek_header(skb);
+  return h && h->type != proto::PacketType::kData &&
+         h->type != proto::PacketType::kFec;
+}
+
+bool is_mem_fault(net::FaultKind k) {
+  return k == net::FaultKind::kMemPressureStart ||
+         k == net::FaultKind::kMemPressureStop ||
+         k == net::FaultKind::kAllocFailStart ||
+         k == net::FaultKind::kAllocFailStop;
+}
+
+/// Domain a (non-mem) fault event fires in: the domain owning every
+/// component the event touches (see fault.cpp — receiver-scoped kinds
+/// touch the receiver's host/NIC, group-scoped kinds the group's router
+/// or its NICs; nothing touches two domains). Out-of-range targets go to
+/// domain 0, whose injector rejects them at arm time.
+std::size_t fault_domain(const net::FaultEvent& ev, const net::Topology& topo) {
+  switch (ev.kind) {
+    case net::FaultKind::kReceiverCrash:
+    case net::FaultKind::kReceiverRestart:
+    case net::FaultKind::kLinkDown:
+    case net::FaultKind::kLinkUp:
+      return ev.target < topo.receiver_count()
+                 ? topo.receiver_domain(ev.target)
+                 : 0;
+    default:
+      return ev.target < topo.group_count() ? topo.group_domain(ev.target)
+                                            : 0;
+  }
+}
+
+/// Adds one receiver slot's stats to the run totals (and the per-slot
+/// vector). Field list must match proto::ReceiverStats.
+void add_receiver_stats(RunResult& res, const proto::ReceiverStats& rs) {
+  res.per_receiver.push_back(rs);
+  auto& t = res.receivers_total;
+  t.data_packets_received += rs.data_packets_received;
+  t.data_bytes_received += rs.data_bytes_received;
+  t.duplicate_packets += rs.duplicate_packets;
+  t.out_of_order_packets += rs.out_of_order_packets;
+  t.window_overflow_drops += rs.window_overflow_drops;
+  t.naks_sent += rs.naks_sent;
+  t.naks_suppressed += rs.naks_suppressed;
+  t.naks_peer_suppressed += rs.naks_peer_suppressed;
+  t.naks_forwarded += rs.naks_forwarded;
+  t.rate_requests_sent += rs.rate_requests_sent;
+  t.urgent_requests_sent += rs.urgent_requests_sent;
+  t.updates_sent += rs.updates_sent;
+  t.agg_updates_sent += rs.agg_updates_sent;
+  t.repairs_served += rs.repairs_served;
+  t.repair_failovers += rs.repair_failovers;
+  t.probes_received += rs.probes_received;
+  t.keepalives_received += rs.keepalives_received;
+  t.nak_errs_received += rs.nak_errs_received;
+  t.bytes_delivered += rs.bytes_delivered;
+  t.bad_packets += rs.bad_packets;
+  t.join_fast_retries += rs.join_fast_retries;
+  t.fec_packets_received += rs.fec_packets_received;
+  t.fec_recoveries += rs.fec_recoveries;
+  t.fec_stale_groups += rs.fec_stale_groups;
+  t.fec_decode_failures += rs.fec_decode_failures;
+  t.stall_rejoins += rs.stall_rejoins;
+  t.alloc_fails += rs.alloc_fails;
+  t.ooo_evictions += rs.ooo_evictions;
+  t.fec_evictions += rs.fec_evictions;
+  t.repair_cache_evictions += rs.repair_cache_evictions;
+}
+
+}  // namespace
 
 RunResult run_transfer(const Scenario& sc) {
-  if (sc.shard.enabled) return detail::run_transfer_sharded(sc);
-  sim::Scheduler sched;
-  net::Topology topo(sched, sc.topo);
+  if (sc.shard.enabled && sc.trace.enabled && sc.trace.sample_period > 0) {
+    // The Sampler reads live sender *and* receiver state on a period —
+    // a cross-domain read mid-window, which sharding forbids.
+    throw std::invalid_argument(
+        "run_transfer: TraceOptions::sample_period is incompatible with "
+        "sharded execution");
+  }
+
+  // The engine. A serial run is one plain Scheduler. A sharded run is
+  // the ShardEngine's domains, cut along the topology's natural seams:
+  // the sender, its NIC and the backbone in domain 0, group g's whole
+  // router subtree in domain 1 + g, so the only cross-domain edges are
+  // the trunks and the lookahead is the trunk service time of the
+  // smallest packet that can cross one (a bare header on the wire).
+  // Everything per-domain below — scheduler, trace ring, fault
+  // injector, memory accountant — is picked by topo.receiver_domain /
+  // topo.group_domain, which are 0 on a serial topology. Each domain's
+  // state is touched only by its own events while the engine runs and
+  // is merged only after it stops, in fixed orders, so no worker ever
+  // reads another domain's state inside a window and the result does
+  // not depend on the thread count.
+  std::optional<sim::Scheduler> serial;
+  std::optional<sim::ShardEngine> engine;
+  std::optional<net::Topology> topo_storage;
+  std::vector<sim::Scheduler*> domains;
+  if (sc.shard.enabled) {
+    const std::size_t min_wire =
+        proto::Header::kSize + kern::SkBuff::kLowerLayerBytes;
+    engine.emplace(sc.topo.groups.size() + 1,
+                   sim::transmission_time(static_cast<std::int64_t>(min_wire),
+                                          sc.topo.network_bps));
+    topo_storage.emplace(*engine, sc.topo);
+    if (engine->lookahead() != topo_storage->cross_domain_lookahead(min_wire)) {
+      throw std::logic_error("run_transfer: lookahead disagrees with topology");
+    }
+    for (std::size_t d = 0; d < engine->domain_count(); ++d) {
+      domains.push_back(&engine->domain(d));
+    }
+  } else {
+    topo_storage.emplace(serial.emplace(), sc.topo);
+    domains.push_back(&*serial);
+  }
+  net::Topology& topo = *topo_storage;
 
   const net::Endpoint group{kGroupAddr, kGroupPort};
 
   kern::skbuff_peak_reset();  // per-run gauge window (RunResult)
 
-  // Memory accountant (DESIGN.md §16): installed only when the scenario
-  // sets a budget or the fault plan arms mem windows, so every other
-  // run is bit-identical to one that never heard of it. The failure
-  // RNG is a named substream and is NOT folded into rng_digest — a mem
-  // chaos run must replay against the same protocol schedule digest.
+  // Memory accounting (DESIGN.md §16): one accountant per domain,
+  // installed only when the scenario sets a budget or the fault plan
+  // arms mem windows, so every other run is bit-identical to one that
+  // never heard of it. Ledgers are per host, so each host simply
+  // charges its own domain's accountant. The failure RNG is a named
+  // substream per domain ("mem" for domain 0, which keeps a serial
+  // run's stream) and is NOT folded into rng_digest — a mem chaos run
+  // must replay against the same protocol schedule digest.
   bool plan_has_mem_faults = false;
   for (const net::FaultEvent& ev : sc.faults.events) {
     if (ev.kind == net::FaultKind::kMemPressureStart ||
@@ -41,36 +162,48 @@ RunResult run_transfer(const Scenario& sc) {
       break;
     }
   }
-  std::unique_ptr<kern::MemAccountant> mem;
+  std::vector<std::unique_ptr<kern::MemAccountant>> mems;
   if (sc.mem_budget > 0 || plan_has_mem_faults) {
-    mem = std::make_unique<kern::MemAccountant>(
-        sc.mem_budget, sim::substream_seed(sc.seed, "mem"));
-    topo.sender().set_mem_accountant(mem.get());
-    topo.sender().nic()->set_mem_admission(mem.get(), topo.sender().addr());
+    for (std::size_t d = 0; d < domains.size(); ++d) {
+      mems.push_back(std::make_unique<kern::MemAccountant>(
+          sc.mem_budget,
+          sim::substream_seed(sc.seed,
+                              d == 0 ? "mem" : "mem:" + std::to_string(d))));
+    }
+    topo.sender().set_mem_accountant(mems[0].get());
+    topo.sender().nic()->set_mem_admission(mems[0].get(), topo.sender().addr());
     for (std::size_t i = 0; i < topo.receiver_count(); ++i) {
-      topo.receiver(i).set_mem_accountant(mem.get());
-      topo.receiver_nic(i).set_mem_admission(mem.get(),
-                                             topo.receiver(i).addr());
+      kern::MemAccountant* mem = mems[topo.receiver_domain(i)].get();
+      topo.receiver(i).set_mem_accountant(mem);
+      topo.receiver_nic(i).set_mem_admission(mem, topo.receiver(i).addr());
     }
   }
 
-  // Observability: one shared ring; each component gets a sink stamped
-  // with its host id (the trace.hpp convention).
-  std::unique_ptr<trace::TraceRing> ring;
+  // Observability: one ring per domain (a ring append is a write, so
+  // concurrently running domains cannot share one), merged by timestamp
+  // after the run. Each component's sink pairs its domain's ring with
+  // its domain's clock and stamps its host id (the trace.hpp
+  // convention); with tracing off every sink is the inert default.
+  std::vector<std::unique_ptr<trace::TraceRing>> rings;
   if (sc.trace.enabled) {
-    ring = std::make_unique<trace::TraceRing>(sc.trace.ring_capacity);
-    topo.backbone().set_trace(
-        trace::TraceSink(ring.get(), &sched, trace::kBackboneHost));
-    for (std::size_t g = 0; g < topo.group_count(); ++g) {
-      topo.group_router(g).set_trace(
-          trace::TraceSink(ring.get(), &sched, trace::router_host(g)));
+    for (std::size_t d = 0; d < domains.size(); ++d) {
+      rings.push_back(
+          std::make_unique<trace::TraceRing>(sc.trace.ring_capacity));
     }
-    topo.sender().nic()->set_trace(
-        trace::TraceSink(ring.get(), &sched, trace::nic_host(0)));
-    for (std::size_t i = 0; i < topo.receiver_count(); ++i) {
-      topo.receiver_nic(i).set_trace(
-          trace::TraceSink(ring.get(), &sched, trace::nic_host(1 + i)));
-    }
+  }
+  const auto sink = [&](std::size_t d, std::uint16_t host) {
+    return rings.empty() ? trace::TraceSink()
+                         : trace::TraceSink(rings[d].get(), domains[d], host);
+  };
+  topo.backbone().set_trace(sink(0, trace::kBackboneHost));
+  for (std::size_t g = 0; g < topo.group_count(); ++g) {
+    topo.group_router(g).set_trace(
+        sink(topo.group_domain(g), trace::router_host(g)));
+  }
+  topo.sender().nic()->set_trace(sink(0, trace::nic_host(0)));
+  for (std::size_t i = 0; i < topo.receiver_count(); ++i) {
+    topo.receiver_nic(i).set_trace(
+        sink(topo.receiver_domain(i), trace::nic_host(1 + i)));
   }
 
   // Which receivers does the fault plan ever crash, and which are
@@ -152,24 +285,24 @@ RunResult run_transfer(const Scenario& sc) {
     }
   }
 
-  // Receivers and their applications. Vectors are indexed by receiver
-  // slot; a modeled slot holds nullptr in rcv_socks/sinks and its
-  // population in modeled_socks instead.
+  // Receivers and their applications, each built on (and scheduling
+  // churn through) its own domain's clock. Vectors are indexed by
+  // receiver slot; a modeled slot holds nullptr in rcv_socks/sinks and
+  // its population in modeled_socks instead.
   std::vector<std::unique_ptr<proto::HrmcReceiver>> rcv_socks;
   std::vector<std::unique_ptr<proto::ModeledReceiver>> modeled_socks;
   std::vector<std::unique_ptr<app::SinkApp>> sinks;
   std::vector<sim::SimTime> modeled_complete_at(topo.receiver_count(), -1);
   for (std::size_t i = 0; i < topo.receiver_count(); ++i) {
+    const std::size_t d = topo.receiver_domain(i);
+    sim::Scheduler& dsched = *domains[d];
     if (const ModeledGroup* mg = modeled_of[i]) {
       auto pop = std::make_unique<proto::ModeledReceiver>(
           topo.receiver(i), sc.proto, group, mg->population, mg->leaf_loss,
           topo.sender().addr());
-      if (ring) {
-        pop->set_trace(
-            trace::TraceSink(ring.get(), &sched, trace::receiver_host(i)));
-      }
-      pop->on_complete = [&sched, &modeled_complete_at, i] {
-        modeled_complete_at[i] = sched.now();
+      pop->set_trace(sink(d, trace::receiver_host(i)));
+      pop->on_complete = [&dsched, &modeled_complete_at, i] {
+        modeled_complete_at[i] = dsched.now();
       };
       pop->open();
       rcv_socks.push_back(nullptr);
@@ -179,10 +312,7 @@ RunResult run_transfer(const Scenario& sc) {
     }
     auto sock = std::make_unique<proto::HrmcReceiver>(
         topo.receiver(i), sc.proto, group, topo.sender().addr());
-    if (ring) {
-      sock->set_trace(
-          trace::TraceSink(ring.get(), &sched, trace::receiver_host(i)));
-    }
+    sock->set_trace(sink(d, trace::receiver_host(i)));
     if (sc.hierarchy.enabled) {
       const std::size_t rep = repairer_of_group[topo.receiver_group(i)];
       if (rep == i) {
@@ -197,84 +327,90 @@ RunResult run_transfer(const Scenario& sc) {
     opt.verify = !crashed_ever[i] && join_at[i] < 0;
     if (sc.workload.disk_sink) opt.disk = sc.workload.disk;
     opt.seed = sim::substream_seed(sc.seed, "sink:" + std::to_string(i));
-    sinks.push_back(std::make_unique<app::SinkApp>(*sock, sched, opt));
+    sinks.push_back(std::make_unique<app::SinkApp>(*sock, dsched, opt));
     proto::HrmcReceiver* raw = sock.get();
     if (join_at[i] >= 0) {
-      sched.schedule_at(join_at[i], [raw] { raw->open_resync(); });
+      dsched.schedule_at(join_at[i], [raw] { raw->open_resync(); });
     } else {
       sock->open();
     }
     if (leave_at[i] >= 0) {
-      sched.schedule_at(leave_at[i], [raw] { raw->close(); });
+      dsched.schedule_at(leave_at[i], [raw] { raw->close(); });
     }
     rcv_socks.push_back(std::move(sock));
     modeled_socks.push_back(nullptr);
   }
 
-  // Fault injection. Constructed only for a non-empty plan so that
-  // fault-free runs are bit-identical to runs predating the injector.
-  std::unique_ptr<net::FaultInjector> injector;
-  if (!sc.faults.empty()) {
-    injector = std::make_unique<net::FaultInjector>(sched, topo, sc.faults,
-                                                    sc.seed);
-    injector->on_receiver_crash = [&rcv_socks](std::size_t i) {
+  // Fault injection: the plan is split by the domain each event fires
+  // in, one injector per domain that has any (none at all for an empty
+  // plan, so fault-free runs are bit-identical to runs predating the
+  // injector). A mem window acts on the accountants, so it goes to
+  // every domain and still squeezes every host. Substream seeds derive
+  // from (sc.seed, component name), so the split never changes a draw.
+  std::vector<net::FaultPlan> plans(domains.size());
+  for (const net::FaultEvent& ev : sc.faults.events) {
+    if (is_mem_fault(ev.kind)) {
+      for (net::FaultPlan& plan : plans) plan.events.push_back(ev);
+    } else {
+      plans[fault_domain(ev, topo)].events.push_back(ev);
+    }
+  }
+  std::vector<std::unique_ptr<net::FaultInjector>> injectors;
+  for (std::size_t d = 0; d < domains.size(); ++d) {
+    if (plans[d].empty()) continue;
+    auto inj = std::make_unique<net::FaultInjector>(
+        *domains[d], topo, std::move(plans[d]), sc.seed);
+    inj->on_receiver_crash = [&rcv_socks](std::size_t i) {
       if (i < rcv_socks.size() && rcv_socks[i]) rcv_socks[i]->crash();
     };
-    injector->on_receiver_restart = [&rcv_socks](std::size_t i) {
+    inj->on_receiver_restart = [&rcv_socks](std::size_t i) {
       if (i < rcv_socks.size() && rcv_socks[i]) rcv_socks[i]->restart();
     };
-    injector->control_classifier = &is_control_packet;
-    if (mem) injector->set_mem_accountant(mem.get());
-    if (ring) {
-      injector->set_trace(trace::TraceSink(ring.get(), &sched, 0));
-    }
-    injector->arm();
+    inj->control_classifier = &is_control_packet;
+    if (!mems.empty()) inj->set_mem_accountant(mems[d].get());
+    inj->set_trace(sink(d, 0));
+    inj->arm();
+    injectors.push_back(std::move(inj));
   }
 
-  // Sender and its application.
+  // Sender and its application: domain 0.
+  sim::Scheduler& sched0 = *domains[0];
   proto::HrmcSender snd(topo.sender(), sc.proto, kGroupPort, group);
-  if (ring) {
-    snd.set_trace(
-        trace::TraceSink(ring.get(), &sched, trace::kSenderHost));
-  }
+  snd.set_trace(sink(0, trace::kSenderHost));
   app::SourceApp::Options sopt;
   sopt.total_bytes = sc.workload.file_bytes;
   sopt.chunk = sc.workload.chunk;
   if (sc.workload.disk_source) sopt.disk = sc.workload.disk;
   sopt.seed = sim::substream_seed(sc.seed, "source");
-  app::SourceApp source(snd, sched, sopt);
+  app::SourceApp source(snd, sched0, sopt);
 
-  sched.schedule_at(sc.sender_start, [&source] { source.start(); });
+  sched0.schedule_at(sc.sender_start, [&source] { source.start(); });
 
   const auto slot_complete = [&](std::size_t i) {
     return sinks[i] ? sinks[i]->stream_complete()
                     : modeled_socks[i]->complete();
   };
-  const auto all_receivers_complete = [&] {
-    for (std::size_t i = 0; i < sinks.size(); ++i) {
-      if (!slot_complete(i)) return false;
-    }
-    return true;
-  };
   // Run until every receiver we *expect* to finish has finished (a
   // receiver crashed without restart never will — waiting on it would
   // just spin to the time limit) and the sender released everything.
-  const auto survivors_complete = [&] {
+  // The sharded engine evaluates this only at epoch barriers, where
+  // every domain is quiescent — the one place a cross-domain read is
+  // safe (and deterministic: the barrier schedule is thread-count
+  // independent).
+  const auto done = [&] {
     for (std::size_t i = 0; i < sinks.size(); ++i) {
       if (expect_complete[i] && !slot_complete(i)) return false;
     }
-    return true;
-  };
-  const auto done = [&] {
-    return survivors_complete() && snd.finished();
+    return snd.finished();
   };
 
-  // Time-series sampler: reads (never mutates) protocol state, so its
-  // presence changes only the executed-event count, not the run.
+  // Time-series sampler (serial only): reads (never mutates) protocol
+  // state, so its presence changes only the executed-event count, not
+  // the run.
   std::unique_ptr<trace::Sampler> sampler;
   if (sc.trace.enabled && sc.trace.sample_period > 0) {
     sampler = std::make_unique<trace::Sampler>(
-        sched, sc.trace.sample_period, [&snd, &rcv_socks] {
+        sched0, sc.trace.sample_period, [&snd, &rcv_socks] {
           trace::SamplePoint p;
           p.rate_bps = snd.current_rate();
           p.send_window_bytes = static_cast<double>(snd.queued_bytes());
@@ -302,7 +438,18 @@ RunResult run_transfer(const Scenario& sc) {
     sampler->start();
   }
 
-  sched.run_while([&] { return !done(); }, sc.time_limit);
+  unsigned threads = 1;
+  if (engine) {
+    // Thread count: an explicit request is honored exactly (benches
+    // measuring a specific count depend on that); 0 takes the harness
+    // budget's leftover share, composing with any ParallelRunner above
+    // us. The lease pins the claim for the engine's whole run.
+    ThreadLease lease(sc.shard.threads);
+    threads = lease.count();
+    engine->run(done, sc.time_limit, threads);
+  } else {
+    sched0.run_while([&] { return !done(); }, sc.time_limit);
+  }
 
   // Quiesce every timer before reading stats: stop() also closes a
   // stall interval still open at shutdown, so the stats counter agrees
@@ -317,23 +464,34 @@ RunResult run_transfer(const Scenario& sc) {
   }
 
   RunResult res;
-  res.completed = all_receivers_complete();
+  res.completed = true;
   res.sender_finished = snd.finished();
   res.stall_time = snd.window_stall_time();
-  for (std::size_t i = 0; i < sinks.size(); ++i) {
-    if (!expect_complete[i]) continue;
-    ++res.survivor_count;
-    if (slot_complete(i)) ++res.survivors_completed;
-  }
-
+  res.sender = snd.stats();
+  res.evicted_count = res.sender.members_evicted;
+  res.member_min_rescans = snd.members().min_rescans();
+  res.member_min_rescan_work = snd.members().min_rescan_work();
   sim::SimTime last_complete = sc.sender_start;
   for (std::size_t i = 0; i < sinks.size(); ++i) {
+    const bool complete = slot_complete(i);
+    res.completed = res.completed && complete;
+    if (expect_complete[i]) {
+      ++res.survivor_count;
+      if (complete) ++res.survivors_completed;
+    }
     if (sinks[i]) {
-      if (sinks[i]->stream_complete()) {
+      if (complete) {
         last_complete = std::max(last_complete, sinks[i]->complete_at());
       }
-    } else if (modeled_complete_at[i] >= 0) {
-      last_complete = std::max(last_complete, modeled_complete_at[i]);
+      add_receiver_stats(res, rcv_socks[i]->stats());
+      if (rcv_socks[i]->stream_error()) res.any_stream_error = true;
+      if (sinks[i]->verify_failed()) res.verify_ok = false;
+    } else {
+      if (modeled_complete_at[i] >= 0) {
+        last_complete = std::max(last_complete, modeled_complete_at[i]);
+      }
+      add_receiver_stats(res, modeled_socks[i]->stats());
+      res.modeled_leaves += modeled_socks[i]->population();
     }
   }
   res.elapsed = last_complete - sc.sender_start;
@@ -342,35 +500,45 @@ RunResult run_transfer(const Scenario& sc) {
                           sim::to_seconds(res.elapsed) / 1e6;
   }
 
-  res.sender = snd.stats();
-  res.evicted_count = res.sender.members_evicted;
-  res.member_min_rescans = snd.members().min_rescans();
-  res.member_min_rescan_work = snd.members().min_rescan_work();
-  for (std::size_t i = 0; i < rcv_socks.size(); ++i) {
-    if (rcv_socks[i]) {
-      detail::accumulate_receiver_stats(res, rcv_socks[i]->stats());
-      if (rcv_socks[i]->stream_error()) res.any_stream_error = true;
-      if (sinks[i]->verify_failed()) res.verify_ok = false;
-    } else {
-      detail::accumulate_receiver_stats(res, modeled_socks[i]->stats());
-      res.modeled_leaves += modeled_socks[i]->population();
-    }
-  }
-
-  if (mem) {
-    res.mem_peak_bytes = mem->peak_any_host();
-    res.mem_alloc_fails = mem->counters().alloc_fails;
+  for (const auto& mem : mems) {
+    res.mem_peak_bytes = std::max(res.mem_peak_bytes, mem->peak_any_host());
+    res.mem_alloc_fails += mem->counters().alloc_fails;
   }
   res.mem_cache_evictions = res.receivers_total.ooo_evictions +
                             res.receivers_total.fec_evictions +
                             res.receivers_total.repair_cache_evictions;
-  res.skb_live_bytes_end = kern::skbuff_stats().live_bytes;
-  res.skb_peak_bytes = kern::skbuff_stats().peak_bytes;
+  // The skbuff pool is per thread, so its gauges cover the whole run
+  // only when every domain ran on this one.
+  if (threads == 1) {
+    res.skb_live_bytes_end = kern::skbuff_stats().live_bytes;
+    res.skb_peak_bytes = kern::skbuff_stats().peak_bytes;
+  }
 
-  res.events_executed = sched.executed();
-  res.sched_compactions = sched.compactions();
-  res.rng_digest =
-      detail::fold_run_digest(topo, rcv_socks, modeled_socks, sinks, source);
+  for (const sim::Scheduler* s : domains) {
+    res.events_executed += s->executed();
+    res.sched_compactions += s->compactions();
+  }
+  // rng_digest: end-state of every RNG stream in the run, folded in a
+  // fixed component order (network elements in topology order, then
+  // per-slot protocol endpoints, then the apps). The order is part of
+  // the replay-identity contract — two runs agree on the digest iff
+  // every component's stream advanced identically.
+  std::uint64_t digest = 0x48524d43u;  // 'HRMC'
+  digest = sim::digest_mix(digest, topo.backbone().rng_digest());
+  for (std::size_t g = 0; g < topo.group_count(); ++g) {
+    digest = sim::digest_mix(digest, topo.group_router(g).rng_digest());
+  }
+  digest = sim::digest_mix(digest, topo.sender_nic().rng_digest());
+  for (std::size_t i = 0; i < topo.receiver_count(); ++i) {
+    digest = sim::digest_mix(digest, topo.receiver_nic(i).rng_digest());
+  }
+  for (std::size_t i = 0; i < rcv_socks.size(); ++i) {
+    digest = sim::digest_mix(digest, rcv_socks[i]
+                                         ? rcv_socks[i]->rng_digest()
+                                         : modeled_socks[i]->rng_digest());
+    if (sinks[i]) digest = sim::digest_mix(digest, sinks[i]->rng_digest());
+  }
+  res.rng_digest = sim::digest_mix(digest, source.rng_digest());
 
   res.sender_nic_tx_drops =
       topo.sender().nic()->counters().get("tx_ring_drops");
@@ -380,11 +548,32 @@ RunResult run_transfer(const Scenario& sc) {
         topo.group_router(g).counters().get("loss_drops");
   }
 
-  if (ring) {
-    res.trace_records = ring->records();
-    res.trace_dropped = ring->dropped();
+  // Merge the rings by timestamp. stable_sort keeps each domain's
+  // internal order and breaks cross-domain ties by domain index — both
+  // fixed, so the merged stream is identical at every thread count. A
+  // single ring is already in time order.
+  for (const auto& ring : rings) {
+    const std::vector<trace::TraceRecord> recs = ring->records();
+    res.trace_records.insert(res.trace_records.end(), recs.begin(),
+                             recs.end());
+    res.trace_dropped += ring->dropped();
+  }
+  if (rings.size() > 1) {
+    std::stable_sort(
+        res.trace_records.begin(), res.trace_records.end(),
+        [](const trace::TraceRecord& a, const trace::TraceRecord& b) {
+          return a.t < b.t;
+        });
   }
   if (sampler) res.samples = sampler->take();
+
+  if (engine) {
+    res.shard_domains = engine->domain_count();
+    res.shard_epochs = engine->stats().epochs;
+    res.shard_handoffs = engine->stats().handoffs;
+    res.shard_handoff_bytes = engine->stats().handoff_bytes;
+    res.shard_control_posts = engine->stats().control_posts;
+  }
   return res;
 }
 

@@ -81,26 +81,21 @@ struct ModeledGroup {
 
 /// Multi-core sharded execution (sim::ShardEngine): the topology is cut
 /// into conservative-time domains — the sender/backbone in domain 0,
-/// each group's router subtree in its own domain — advanced in lockstep
+/// group g's router subtree in domain 1 + g — advanced in lockstep
 /// epochs whose width is the trunk's minimum packet service time. The
 /// result is bit-identical at every thread count (same per-domain event
-/// order, PRNG draws, trace records); "serial" for comparison purposes
-/// is this engine at threads = 1. The legacy single-Scheduler path
-/// (enabled = false) stays byte-for-byte what it always was; it can
-/// differ from the sharded schedule only in how same-timestamp events
-/// in different domains interleave. Incompatible with
-/// TraceOptions::sample_period (the Sampler reads live cross-domain
-/// state mid-window) — run_transfer throws on that combination.
+/// order, PRNG draws, trace records). Both engines share one scenario
+/// wiring, so every Scenario field means the same on either; the serial
+/// engine (enabled = false) can differ from the sharded schedule only
+/// in how same-timestamp events in different domains interleave.
+/// Incompatible with TraceOptions::sample_period (the Sampler reads
+/// live cross-domain state mid-window) — run_transfer throws on that
+/// combination.
 struct ShardOptions {
   bool enabled = false;
   /// Worker threads; 0 = the harness thread budget's leftover share
   /// (composes with ParallelRunner under HRMC_BENCH_THREADS).
   unsigned threads = 0;
-  /// Cap on domain count, including the sender's domain 0; groups wrap
-  /// round-robin over domains 1..max_domains-1. 0 = one domain per
-  /// group. Values <= 1 collapse everything into domain 0 (still runs
-  /// through the engine, epochs and all — useful for overhead tests).
-  std::size_t max_domains = 0;
 };
 
 struct Scenario {
@@ -132,12 +127,12 @@ struct Scenario {
   /// §16). 0 = no budget; an accountant is still installed when the
   /// fault plan contains mem-pressure / alloc-fail windows (they need
   /// one to act on). 0 with a mem-fault-free plan installs nothing —
-  /// bit-identical to runs predating this field. Legacy engine only:
-  /// the accountant is not sharding-aware, so sc.shard.enabled ignores
-  /// it.
+  /// bit-identical to runs predating this field. Sharded runs install
+  /// one accountant per domain; every host's ledger lives in its own
+  /// domain's, so the budget means the same on both engines.
   std::uint64_t mem_budget = 0;
   TraceOptions trace;
-  /// Sharded multi-core execution (off = legacy single scheduler,
+  /// Sharded multi-core execution (off = one serial scheduler,
   /// bit-identical to runs predating this field).
   ShardOptions shard;
 };
@@ -169,9 +164,11 @@ struct RunResult {
   std::uint64_t evicted_count = 0;  ///< members evicted by the sender
   sim::SimTime stall_time = 0;      ///< window time blocked past hold
 
-  // Memory-pressure robustness (DESIGN.md §16). Zero unless a
-  // kern::MemAccountant was installed (Scenario::mem_budget or mem
-  // fault windows); the skbuff gauges are always live.
+  // Memory-pressure robustness (DESIGN.md §16). The mem_* fields are
+  // zero unless a kern::MemAccountant was installed (Scenario::mem_budget
+  // or mem fault windows). The skbuff pool is per thread, so the skb_*
+  // gauges are filled only when the run used one thread (the serial
+  // engine, or the sharded engine at threads = 1) and are zero otherwise.
   std::uint64_t mem_peak_bytes = 0;   ///< highest single-host ledger seen
   std::uint64_t mem_alloc_fails = 0;  ///< accountant refusals, all hosts
   std::uint64_t mem_cache_evictions = 0;  ///< ooo + fec + repair evictions
@@ -194,7 +191,7 @@ struct RunResult {
   std::uint64_t sched_compactions = 0;  ///< tombstone sweeps (all domains)
   std::uint64_t rng_digest = 0;
 
-  // Sharded-engine accounting (zero on the legacy path).
+  // Sharded-engine accounting (zero on the serial engine).
   std::size_t shard_domains = 0;
   std::uint64_t shard_epochs = 0;
   std::uint64_t shard_handoffs = 0;
@@ -211,14 +208,9 @@ struct RunResult {
   }
 };
 
-/// Runs one multicast file transfer described by `sc`.
+/// Runs one multicast file transfer described by `sc`, on the serial
+/// engine or (sc.shard.enabled) the sharded one.
 RunResult run_transfer(const Scenario& sc);
-
-namespace detail {
-/// Sharded-engine implementation behind run_transfer (dispatched when
-/// sc.shard.enabled). Exposed for the engine's own tests.
-RunResult run_transfer_sharded(const Scenario& sc);
-}  // namespace detail
 
 // --- Scenario builders -------------------------------------------------
 

@@ -21,31 +21,22 @@ Topology::Topology(sim::Scheduler& sched, const TopologyConfig& cfg)
   build(sched, [&sched](std::size_t) -> sim::Scheduler& { return sched; });
 }
 
-Topology::Topology(sim::ShardEngine& engine, const TopologyConfig& cfg,
-                   std::vector<std::size_t> group_domain)
-    : sched_(&engine.domain(0)),
-      cfg_(cfg),
-      engine_(&engine),
-      group_domain_(std::move(group_domain)) {
-  if (group_domain_.size() != cfg.groups.size()) {
+Topology::Topology(sim::ShardEngine& engine, const TopologyConfig& cfg)
+    : sched_(&engine.domain(0)), cfg_(cfg), engine_(&engine) {
+  if (engine.domain_count() != cfg.groups.size() + 1) {
     throw std::invalid_argument(
-        "Topology: group_domain needs one entry per configured group");
-  }
-  for (std::size_t d : group_domain_) {
-    if (d >= engine.domain_count()) {
-      throw std::invalid_argument("Topology: group domain out of range");
-    }
+        "Topology: a sharded topology needs one domain per group plus the "
+        "sender's");
   }
   build(engine.domain(0), [this](std::size_t g) -> sim::Scheduler& {
-    return engine_->domain(group_domain_[g]);
+    return engine_->domain(group_domain(g));
   });
   // The only cross-domain edges: backbone -> group router (multicast
   // data and receiver-bound unicast) and group router -> backbone
   // (feedback via the default route). Queueing and service stay on the
   // owning router; delivery goes through the epoch mailboxes.
   for (std::size_t g = 0; g < group_routers_.size(); ++g) {
-    const std::size_t d = group_domain_[g];
-    if (d == 0) continue;  // whole subtree shares the sender's domain
+    const std::size_t d = group_domain(g);
     backbone_->set_remote_egress(group_routers_[g].get(), engine_, 0, d);
     group_routers_[g]->set_remote_egress(backbone_.get(), engine_, d, 0);
   }
@@ -146,11 +137,11 @@ void Topology::join_group(Addr group, Host* host) {
   // it is applied serially at the next epoch boundary (within one
   // lookahead — less than the trunk's own service time — of the IGMP
   // report that would carry it on a real network). During setup the
-  // engine applies it inline, exactly like the legacy path.
-  if (engine_ != nullptr && group_domain_[g] != 0) {
+  // engine applies it inline, exactly like the serial topology.
+  if (engine_ != nullptr) {
     Router* backbone = backbone_.get();
     Router* gr = group_routers_[g].get();
-    engine_->post_control(group_domain_[g], [backbone, gr, group] {
+    engine_->post_control(group_domain(g), [backbone, gr, group] {
       backbone->join_group(group, gr);
     });
   } else {
@@ -165,14 +156,14 @@ void Topology::leave_group(Addr group, Host* host) {
   Nic* nic = nics_[idx + 1].get();
   group_routers_[g]->leave_group(group, nic);
   if (!group_routers_[g]->group_active(group)) {
-    if (engine_ != nullptr && group_domain_[g] != 0) {
+    if (engine_ != nullptr) {
       // Prune at the boundary. A join racing in the same window posts
       // its graft behind this prune in the same FIFO, so the boundary
       // replays the local decisions in order and converges to the same
-      // membership the legacy path reaches.
+      // membership the serial topology reaches.
       Router* backbone = backbone_.get();
       Router* gr = group_routers_[g].get();
-      engine_->post_control(group_domain_[g], [backbone, gr, group] {
+      engine_->post_control(group_domain(g), [backbone, gr, group] {
         backbone->leave_group(group, gr);
       });
     } else {

@@ -56,16 +56,15 @@ class Topology final : public GroupControl {
 
   /// Sharded construction: the sender host and backbone router live in
   /// the engine's domain 0; group `g` (its router, NICs, hosts — one
-  /// whole router subtree) lives in domain `group_domain[g]` (one entry
-  /// per configured group, values in [0, engine.domain_count())). The
-  /// only cross-domain edges this wiring creates are the backbone's
-  /// egress ports toward non-domain-0 group routers and those routers'
-  /// default routes back — both marked remote so deliveries travel
-  /// through the engine's epoch mailboxes. Components pick up their
-  /// domain's Scheduler through Host::scheduler(), so protocol stacks
-  /// built on this topology land in the right domain automatically.
-  Topology(sim::ShardEngine& engine, const TopologyConfig& cfg,
-           std::vector<std::size_t> group_domain);
+  /// whole router subtree) lives in domain 1 + g, so the engine needs
+  /// one domain per configured group plus domain 0. The only
+  /// cross-domain edges this wiring creates are the backbone's egress
+  /// ports toward the group routers and those routers' default routes
+  /// back — both marked remote so deliveries travel through the
+  /// engine's epoch mailboxes. Components pick up their domain's
+  /// Scheduler through Host::scheduler(), so protocol stacks built on
+  /// this topology land in the right domain automatically.
+  Topology(sim::ShardEngine& engine, const TopologyConfig& cfg);
 
   [[nodiscard]] Host& sender() { return *sender_; }
   [[nodiscard]] std::vector<Host*>& receivers() { return receiver_ptrs_; }
@@ -93,10 +92,10 @@ class Topology final : public GroupControl {
 
   [[nodiscard]] const TopologyConfig& config() const { return cfg_; }
 
-  /// Sharded-construction introspection. Domain 0 on the legacy path.
-  [[nodiscard]] bool sharded() const { return engine_ != nullptr; }
+  /// Domain owning group g's subtree (or receiver i). Always 0 on a
+  /// topology built on one plain Scheduler.
   [[nodiscard]] std::size_t group_domain(std::size_t g) const {
-    return engine_ != nullptr ? group_domain_.at(g) : 0;
+    return engine_ != nullptr ? 1 + g : 0;
   }
   [[nodiscard]] std::size_t receiver_domain(std::size_t i) const {
     return group_domain(receiver_group_.at(i));
@@ -124,8 +123,7 @@ class Topology final : public GroupControl {
 
   sim::Scheduler* sched_;
   TopologyConfig cfg_;
-  sim::ShardEngine* engine_ = nullptr;    ///< null on the legacy path
-  std::vector<std::size_t> group_domain_;  ///< per group, sharded only
+  sim::ShardEngine* engine_ = nullptr;  ///< null on a serial topology
 
   std::unique_ptr<Router> backbone_;
   std::vector<std::unique_ptr<Router>> group_routers_;

@@ -27,7 +27,7 @@
 // Consequently a run at 8 threads is bit-identical — same event order
 // per domain, same PRNG draws, same trace records — to the same run at
 // 1 thread. "Serial" for comparison purposes *is* the 1-thread
-// execution of this engine; the legacy single-Scheduler path remains
+// execution of this engine; a run on one plain Scheduler remains
 // byte-for-byte what it was before this engine existed (it differs from
 // the sharded schedule only in how same-timestamp events in *different*
 // domains interleave, which no protocol invariant observes).

@@ -1,65 +1,11 @@
-// Online statistics used by the experiment harness and protocol counters.
+// Named counters for network elements and the fault layer.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace hrmc::sim {
-
-/// Welford online mean/variance plus min/max. O(1) memory.
-class OnlineStats {
- public:
-  void add(double x) {
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-
-  [[nodiscard]] std::uint64_t count() const { return n_; }
-  [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return n_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
-  [[nodiscard]] double sum() const { return mean_ * static_cast<double>(n_); }
-
-  void reset() { *this = OnlineStats{}; }
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-resolution histogram over [lo, hi) with under/overflow buckets.
-/// Supports exact-ish percentiles (bucket midpoint interpolation).
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  [[nodiscard]] std::uint64_t count() const { return total_; }
-  [[nodiscard]] double percentile(double p) const;  // p in [0, 100]
-  [[nodiscard]] const std::vector<std::uint64_t>& buckets() const {
-    return counts_;
-  }
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;  // [under, b0..bN-1, over]
-  std::uint64_t total_ = 0;
-};
 
 /// A named bag of monotone counters; protocol stacks expose one of these
 /// so the harness can diff counts across a run without the protocol

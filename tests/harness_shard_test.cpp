@@ -7,9 +7,11 @@
 //
 // Coverage: 23 generator-built chaos scenarios (crashes, flaps,
 // partitions, burst loss, disturbances, trunk flaps, wireless fades,
-// churn, hierarchy — whatever the seeds draw) plus two hand-built
-// scenarios pinning the cases the issue calls out by name: a repairer
-// kill mid-stream and a membership-churn plan.
+// churn, hierarchy — whatever the seeds draw) plus hand-built cells for
+// a repairer kill mid-stream, a membership-churn plan, adaptive FEC
+// under burst loss and memory pressure (budget, squeeze and alloc-fail
+// windows). A table of scenarios then checks that the serial and the
+// sharded engine agree on the protocol outcome.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -52,6 +54,8 @@ void expect_identical(const RunResult& want, const RunResult& have,
   EXPECT_EQ(want.evicted_count, have.evicted_count);
   EXPECT_EQ(want.stall_time, have.stall_time);
   EXPECT_EQ(want.modeled_leaves, have.modeled_leaves);
+  EXPECT_EQ(want.mem_peak_bytes, have.mem_peak_bytes);
+  EXPECT_EQ(want.mem_alloc_fails, have.mem_alloc_fails);
 
   // Sender counters.
   EXPECT_EQ(want.sender.data_packets_sent, have.sender.data_packets_sent);
@@ -205,23 +209,81 @@ TEST(ShardDifferential, AdaptiveFecUnderBurstLoss) {
   EXPECT_GT(serial.sender.fec_packets_sent, 0u);
 }
 
+TEST(ShardDifferential, MemoryPressureIsThreadCountInvariant) {
+  // A per-host budget plus a squeeze window and an alloc-fail window:
+  // one accountant per domain, every mem window reaching every domain's
+  // injector, and each domain's Bernoulli stream must replay identically
+  // at any worker count.
+  Workload wl;
+  wl.file_bytes = 384 * 1024;
+  Scenario sc = test_case_scenario(4, 12, 10e6, 256u << 10, wl, 20260811);
+  sc.name = "shard-mem-pressure";
+  sc.hierarchy.enabled = true;
+  sc.mem_budget = 192 * 1024;
+  sc.faults.mem_pressure(0, sim::seconds(1), 0.6)
+      .mem_pressure_stop(0, sim::seconds(2))
+      .alloc_fail(1, sim::milliseconds(1500), 0.05)
+      .alloc_fail_stop(1, sim::milliseconds(2500));
+  sc.trace.enabled = true;
+  sc.time_limit = sim::seconds(600);
+  const RunResult serial = run_battery_cell(sc);
+  EXPECT_TRUE(serial.completed);
+  EXPECT_GT(serial.mem_alloc_fails, 0u);
+  EXPECT_LE(serial.mem_peak_bytes, sc.mem_budget);
+}
+
 TEST(ShardDifferential, LegacyAndShardedAgreeOnOutcome) {
-  // The legacy path is untouched and the sharded schedule may differ
-  // from it only in same-timestamp cross-domain interleaving — the
-  // protocol outcome must agree even where bit-identity isn't defined.
+  // Both engines run one scenario wiring, and the sharded schedule may
+  // differ from the serial one only in same-timestamp cross-domain
+  // interleaving — so every Scenario field must mean the same on both,
+  // and the protocol outcome must agree even where bit-identity isn't
+  // defined.
+  struct Row {
+    const char* name;
+    Scenario sc;
+  };
+  std::vector<Row> rows;
   Workload wl;
   wl.file_bytes = 128 * 1024;
-  Scenario sc = test_case_scenario(4, 8, 10e6, 256u << 10, wl, 31337);
-  const RunResult legacy = run_transfer(sc);
-  sc.shard.enabled = true;
-  sc.shard.threads = 2;
-  const RunResult sharded = run_transfer(sc);
-  EXPECT_EQ(legacy.completed, sharded.completed);
-  EXPECT_EQ(legacy.sender_finished, sharded.sender_finished);
-  EXPECT_EQ(legacy.verify_ok, sharded.verify_ok);
-  EXPECT_EQ(legacy.receivers_total.bytes_delivered,
-            sharded.receivers_total.bytes_delivered);
-  EXPECT_EQ(legacy.shard_domains, 0u);  // legacy reports no domains
+  rows.push_back({"test4", test_case_scenario(4, 8, 10e6, 256u << 10, wl,
+                                              31337)});
+  // A late joiner is never elected repairer: its group-mates would JOIN
+  // a socket that does not exist yet and fail over to the sender.
+  wl.file_bytes = 256 * 1024;
+  Scenario late = test_case_scenario(1, 4, 10e6, 256u << 10, wl, 7);
+  late.hierarchy.enabled = true;
+  late.churn.push_back({sim::milliseconds(300), 0, true});
+  rows.push_back({"late-joiner", late});
+  // The per-host memory budget binds on both engines.
+  wl.file_bytes = 2 * 1024 * 1024;
+  Scenario budget = test_case_scenario(4, 10, 100e6, 256u << 10, wl, 11);
+  budget.mem_budget = 96 * 1024;
+  rows.push_back({"mem-budget", budget});
+
+  for (Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    const RunResult serial = run_transfer(row.sc);
+    row.sc.shard.enabled = true;
+    row.sc.shard.threads = 2;
+    const RunResult sharded = run_transfer(row.sc);
+    EXPECT_EQ(serial.shard_domains, 0u);  // the serial engine has none
+    for (const RunResult* r : {&serial, &sharded}) {
+      EXPECT_TRUE(r->completed);
+      EXPECT_TRUE(r->sender_finished);
+      EXPECT_TRUE(r->verify_ok);
+      EXPECT_EQ(r->receivers_total.repair_failovers, 0u);
+      if (row.sc.mem_budget > 0) {
+        EXPECT_GT(r->mem_alloc_fails, 0u);
+        EXPECT_LE(r->mem_peak_bytes, row.sc.mem_budget);
+      }
+    }
+    // A late joiner's tail starts wherever the stream is when its JOIN
+    // lands, so only fixed memberships deliver the same byte count.
+    if (row.sc.churn.empty()) {
+      EXPECT_EQ(serial.receivers_total.bytes_delivered,
+                sharded.receivers_total.bytes_delivered);
+    }
+  }
 }
 
 TEST(ShardDifferential, SamplerIsRejectedUnderSharding) {
@@ -232,25 +294,6 @@ TEST(ShardDifferential, SamplerIsRejectedUnderSharding) {
   sc.trace.sample_period = sim::milliseconds(10);
   sc.shard.enabled = true;
   EXPECT_THROW(run_transfer(sc), std::invalid_argument);
-}
-
-TEST(ShardDifferential, MaxDomainsCollapsesAndWrapsDeterministically) {
-  // max_domains = 2 folds every group into one non-sender domain;
-  // max_domains = 1 folds everything into domain 0. Both still run
-  // through the engine and stay thread-count invariant.
-  Workload wl;
-  wl.file_bytes = 128 * 1024;
-  for (std::size_t cap : {1u, 2u}) {
-    Scenario sc = test_case_scenario(4, 8, 10e6, 256u << 10, wl, 90210);
-    sc.trace.enabled = true;
-    sc.shard.enabled = true;
-    sc.shard.max_domains = cap;
-    sc.shard.threads = 1;
-    const RunResult serial = run_transfer(sc);
-    EXPECT_EQ(serial.shard_domains, cap);
-    sc.shard.threads = 4;
-    expect_identical(serial, run_transfer(sc), 4);
-  }
 }
 
 TEST(ThreadBudget, ExplicitLeaseIsGrantedExactly) {

@@ -2,63 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace hrmc::sim {
 namespace {
-
-TEST(OnlineStats, EmptyIsZero) {
-  OnlineStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(OnlineStats, MeanMinMax) {
-  OnlineStats s;
-  for (double v : {3.0, 1.0, 4.0, 1.0, 5.0}) s.add(v);
-  EXPECT_EQ(s.count(), 5u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.8);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 14.0);
-}
-
-TEST(OnlineStats, VarianceMatchesTwoPass) {
-  OnlineStats s;
-  const double xs[] = {2, 4, 4, 4, 5, 5, 7, 9};
-  for (double x : xs) s.add(x);
-  // Sample variance of the classic dataset = 32/7.
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_NEAR(s.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
-}
-
-TEST(OnlineStats, ResetClears) {
-  OnlineStats s;
-  s.add(10);
-  s.reset();
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-}
-
-TEST(Histogram, CountsAndPercentiles) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_NEAR(h.percentile(50), 50.0, 1.5);
-  EXPECT_NEAR(h.percentile(90), 90.0, 1.5);
-  EXPECT_NEAR(h.percentile(0), 0.5, 1.0);
-}
-
-TEST(Histogram, UnderAndOverflowBuckets) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-5.0);
-  h.add(15.0);
-  h.add(5.0);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_EQ(h.buckets().front(), 1u);
-  EXPECT_EQ(h.buckets().back(), 1u);
-}
 
 TEST(CounterSet, IncrementAndQuery) {
   CounterSet c;
