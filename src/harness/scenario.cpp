@@ -540,12 +540,10 @@ RunResult run_transfer(const Scenario& sc) {
   }
   res.rng_digest = sim::digest_mix(digest, source.rng_digest());
 
-  res.sender_nic_tx_drops =
-      topo.sender().nic()->counters().get("tx_ring_drops");
-  res.router_loss_drops = topo.backbone().counters().get("loss_drops");
+  res.sender_nic_tx_drops = topo.sender().nic()->counters().tx_ring_drops;
+  res.router_loss_drops = topo.backbone().counters().loss_drops;
   for (std::size_t g = 0; g < sc.topo.groups.size(); ++g) {
-    res.router_loss_drops +=
-        topo.group_router(g).counters().get("loss_drops");
+    res.router_loss_drops += topo.group_router(g).counters().loss_drops;
   }
 
   // Merge the rings by timestamp. stable_sort keeps each domain's

@@ -78,7 +78,7 @@ std::optional<Header> peek_header(const kern::SkBuff& skb) {
 
 std::optional<Header> read_header(kern::SkBuff& skb) {
   if (skb.size() < Header::kSize) return std::nullopt;
-  if (!kern::checksum_ok(skb.bytes())) return std::nullopt;
+  if (!skb.checksum_ok()) return std::nullopt;
   auto h = peek_header(skb);
   if (!h) return std::nullopt;
   skb.pull(Header::kSize);

@@ -117,7 +117,9 @@ struct Header {
 void write_header(kern::SkBuff& skb, const Header& h);
 
 /// Parses and strips the header. Returns nullopt on short packets or
-/// checksum failure (the caller counts and drops those).
+/// checksum failure (the caller counts and drops those). The checksum
+/// goes through SkBuff::checksum_ok, so fan-out clones of one block are
+/// summed once.
 std::optional<Header> read_header(kern::SkBuff& skb);
 
 /// Parses without stripping or verifying (for taps and tests).

@@ -3,6 +3,8 @@
 #include <memory>
 #include <new>
 
+#include "kern/checksum.hpp"
+
 namespace hrmc::kern {
 
 namespace {
@@ -161,6 +163,7 @@ SkbBlock* skb_block_acquire(std::size_t cap) {
   // dedicated allocation — the pool is invisible to protocol code.
   b->cap = cap;
   b->next_free = nullptr;
+  b->csum_len = 0;
   pool.stats.live_bytes += cap;
   if (pool.stats.live_bytes > pool.stats.peak_bytes) {
     pool.stats.peak_bytes = pool.stats.live_bytes;
@@ -223,15 +226,29 @@ void SkBuff::unshare() {
   ++g_pool.stats.cow_copies;
 }
 
-std::uint8_t* SkBuff::push(std::size_t n) {
-  if (n > head_) throw std::logic_error("SkBuff::push: headroom exhausted");
-  unshare();
-  head_ -= n;
-  len_ += n;
-  return data();
+bool SkBuff::checksum_ok() const {
+  SkBuffStats& stats = g_pool.stats;
+  detail::SkbBlock& b = *block_;
+  if (b.csum_len != 0 && b.csum_len == len_ && b.csum_head == head_) {
+    ++stats.csum_cached;
+    return true;
+  }
+  stats.csum_bytes += len_;
+  if (!kern::checksum_ok(bytes())) return false;
+  b.csum_head = head_;
+  b.csum_len = len_;
+  return true;
 }
 
-std::uint8_t* SkBuff::pull(std::size_t n) {
+std::uint8_t* SkBuff::push(std::size_t n) {
+  if (n > head_) throw std::logic_error("SkBuff::push: headroom exhausted");
+  prepare_write();
+  head_ -= n;
+  len_ += n;
+  return block_->bytes() + head_;
+}
+
+const std::uint8_t* SkBuff::pull(std::size_t n) {
   if (n > len_) throw std::logic_error("SkBuff::pull: past end of data");
   head_ += n;
   len_ -= n;
@@ -240,8 +257,8 @@ std::uint8_t* SkBuff::pull(std::size_t n) {
 
 std::uint8_t* SkBuff::put(std::size_t n) {
   if (n > tailroom()) throw std::logic_error("SkBuff::put: tailroom exhausted");
-  unshare();
-  std::uint8_t* at = data() + len_;
+  prepare_write();
+  std::uint8_t* at = block_->bytes() + head_ + len_;
   len_ += n;
   return at;
 }

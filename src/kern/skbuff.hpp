@@ -10,7 +10,9 @@
 // can *write* through the buffer (push/put/mutable_bytes) performs the
 // skb_cow() dance first: if the block is shared it is copied before the
 // write. pull()/trim() only move this view's offsets and never copy,
-// matching skb_pull()/skb_trim() on a clone.
+// matching skb_pull()/skb_trim() on a clone. Those three calls are the
+// only way to write (data() is read-only), which is what lets the block
+// memoize a verified checksum for all of its clones (checksum_ok()).
 //
 // Data blocks come from a per-thread free-list pool bucketed by size
 // class, so steady-state packet traffic recycles blocks instead of
@@ -43,6 +45,8 @@ struct SkBuffStats {
   std::uint64_t pool_hits = 0;     ///< blocks recycled from the free list
   std::uint64_t clones = 0;        ///< O(1) clone() calls
   std::uint64_t cow_copies = 0;    ///< writes that had to unshare a block
+  std::uint64_t csum_bytes = 0;    ///< bytes summed by SkBuff::checksum_ok
+  std::uint64_t csum_cached = 0;   ///< checksum_ok calls answered by the memo
   // Live/peak gauges over *requested* block bytes (acquire adds cap,
   // the final release subtracts it — clones share, so a fan-out of N
   // views counts its block once). Reset zeroes both, so peak_bytes is
@@ -78,6 +82,11 @@ struct alignas(std::max_align_t) SkbBlock {
   std::uint32_t klass = 0;   ///< pool size-class index, or kUnpooled
   std::size_t cap = 0;       ///< usable bytes, as requested at alloc time
   SkbBlock* next_free = nullptr;  ///< free-list link while cached
+  /// Memo of the last successful checksum check: the view (head offset,
+  /// length) that verified. csum_len == 0 means none; acquisition and
+  /// every write path clear it (see SkBuff::checksum_ok).
+  std::size_t csum_head = 0;
+  std::size_t csum_len = 0;
 
   [[nodiscard]] std::uint8_t* bytes() {
     return reinterpret_cast<std::uint8_t*>(this + 1);
@@ -130,11 +139,9 @@ class SkBuff {
   SkBuff(const SkBuff&) = delete;
   SkBuff& operator=(const SkBuff&) = delete;
 
-  /// Payload view. The non-const overload exists for read access
-  /// through non-const buffers; *writing* through it on a shared buffer
-  /// is forbidden — use mutable_bytes(), push() or put(), which
-  /// unshare first.
-  [[nodiscard]] std::uint8_t* data() { return block_->bytes() + head_; }
+  /// Payload view, read-only: bytes are written only through
+  /// mutable_bytes(), push() or put(), which unshare the block and drop
+  /// its checksum memo first.
   [[nodiscard]] const std::uint8_t* data() const {
     return block_->bytes() + head_;
   }
@@ -144,10 +151,18 @@ class SkBuff {
   }
 
   /// Writable payload view; copies the data block first if shared.
+  /// Write through it before the next checksum_ok() on this block.
   [[nodiscard]] std::span<std::uint8_t> mutable_bytes() {
-    unshare();
-    return {data(), len_};
+    prepare_write();
+    return {block_->bytes() + head_, len_};
   }
+
+  /// kern::checksum_ok over the visible bytes, memoized on the shared
+  /// block (Linux's CHECKSUM_UNNECESSARY): a success is remembered for
+  /// this view's (head offset, length), so the clones a router fans out
+  /// sum their common block once. Failures are never memoized, and the
+  /// memo is cleared whenever the block is acquired or written.
+  [[nodiscard]] bool checksum_ok() const;
 
   [[nodiscard]] std::size_t headroom() const { return head_; }
   [[nodiscard]] std::size_t tailroom() const {
@@ -171,7 +186,7 @@ class SkBuff {
   /// Removes `n` bytes from the front (e.g. after parsing a header).
   /// View-only: never copies, even on a clone (skb_pull semantics), so
   /// the fan-out receive path stays zero-copy.
-  std::uint8_t* pull(std::size_t n);
+  const std::uint8_t* pull(std::size_t n);
 
   /// Extends the payload by `n` bytes at the tail; returns pointer to
   /// the newly added region. Copies first if the block is shared.
@@ -198,6 +213,13 @@ class SkBuff {
   static constexpr std::size_t kLowerLayerBytes = 38;
 
  private:
+  /// Every write path starts here: copy a shared block (skb_cow) and
+  /// drop the checksum memo of the block about to be written.
+  void prepare_write() {
+    unshare();
+    block_->csum_len = 0;
+  }
+
   detail::SkbBlock* block_;
   std::size_t head_;
   std::size_t len_;

@@ -9,7 +9,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <utility>
 
 #include "sim/scheduler.hpp"
 
@@ -20,12 +20,14 @@ class Cpu {
   explicit Cpu(sim::Scheduler& sched) : sched_(&sched) {}
 
   /// Queues `cost` of CPU work, then runs `done` when it completes.
-  /// Work requests are serviced FIFO.
-  void run(sim::SimTime cost, std::function<void()> done) {
+  /// Work requests are serviced FIFO. `done` goes straight into the
+  /// scheduler's event slot, so a small capture costs no allocation.
+  template <typename F>
+  void run(sim::SimTime cost, F&& done) {
     const sim::SimTime start = std::max(sched_->now(), busy_until_);
     busy_until_ = start + cost;
     total_busy_ += cost;
-    sched_->schedule_at(busy_until_, std::move(done));
+    sched_->schedule_at(busy_until_, std::forward<F>(done));
   }
 
   /// Time at which all queued work completes.

@@ -246,21 +246,21 @@ void FaultInjector::fire(const FaultEvent& ev) {
     case FaultKind::kReceiverCrash:
       if (topo_->receiver(ev.target).is_down()) break;
       topo_->receiver(ev.target).set_down(true);
-      counters_.inc("crashes");
+      ++counters_.crashes;
       mark(trace::receiver_host(ev.target), true);
       if (on_receiver_crash) on_receiver_crash(ev.target);
       break;
     case FaultKind::kReceiverRestart:
       if (!topo_->receiver(ev.target).is_down()) break;
       topo_->receiver(ev.target).set_down(false);
-      counters_.inc("restarts");
+      ++counters_.restarts;
       mark(trace::receiver_host(ev.target), false);
       if (on_receiver_restart) on_receiver_restart(ev.target);
       break;
     case FaultKind::kLinkDown:
       if (!topo_->receiver_nic(ev.target).link_up()) break;
       topo_->receiver_nic(ev.target).set_link_up(false);
-      counters_.inc("link_downs");
+      ++counters_.link_downs;
       // The receiver behind a dead access link is unreachable: for the
       // release-safety invariant this is indistinguishable from a crash.
       mark(trace::receiver_host(ev.target), true);
@@ -269,85 +269,85 @@ void FaultInjector::fire(const FaultEvent& ev) {
     case FaultKind::kLinkUp:
       if (topo_->receiver_nic(ev.target).link_up()) break;
       topo_->receiver_nic(ev.target).set_link_up(true);
-      counters_.inc("link_ups");
+      ++counters_.link_ups;
       mark(trace::receiver_host(ev.target), false);
       mark(trace::nic_host(1 + ev.target), false);
       break;
     case FaultKind::kPartition:
       if (topo_->group_router(ev.target).is_down()) break;
       topo_->group_router(ev.target).set_down(true);
-      counters_.inc("partitions");
+      ++counters_.partitions;
       mark(trace::router_host(ev.target), true);
       break;
     case FaultKind::kHeal:
       if (!topo_->group_router(ev.target).is_down()) break;
       topo_->group_router(ev.target).set_down(false);
-      counters_.inc("heals");
+      ++counters_.heals;
       mark(trace::router_host(ev.target), false);
       break;
     case FaultKind::kBurstLossStart:
       topo_->group_router(ev.target).set_burst_loss(
           ev.ge, sim::substream_seed(
                      seed_, "fault/ge:router:" + std::to_string(ev.target)));
-      counters_.inc("burst_loss_starts");
+      ++counters_.burst_loss_starts;
       break;
     case FaultKind::kBurstLossStop:
       topo_->group_router(ev.target).clear_burst_loss();
-      counters_.inc("burst_loss_stops");
+      ++counters_.burst_loss_stops;
       break;
     case FaultKind::kReorderStart: {
       DisturbConfig& d = disturber(ev.target).config();
       d.reorder_prob = ev.disturb.reorder_prob;
       d.reorder_hold = ev.disturb.reorder_hold;
-      counters_.inc("reorder_starts");
+      ++counters_.reorder_starts;
       break;
     }
     case FaultKind::kReorderStop: {
       DisturbConfig& d = disturber(ev.target).config();
       d.reorder_prob = 0.0;
       d.reorder_hold = 0;
-      counters_.inc("reorder_stops");
+      ++counters_.reorder_stops;
       break;
     }
     case FaultKind::kDuplicateStart:
       disturber(ev.target).config().dup_prob = ev.disturb.dup_prob;
-      counters_.inc("duplicate_starts");
+      ++counters_.duplicate_starts;
       break;
     case FaultKind::kDuplicateStop:
       disturber(ev.target).config().dup_prob = 0.0;
-      counters_.inc("duplicate_stops");
+      ++counters_.duplicate_stops;
       break;
     case FaultKind::kCorruptStart:
       disturber(ev.target).config().corrupt_prob = ev.disturb.corrupt_prob;
-      counters_.inc("corrupt_starts");
+      ++counters_.corrupt_starts;
       break;
     case FaultKind::kCorruptStop:
       disturber(ev.target).config().corrupt_prob = 0.0;
-      counters_.inc("corrupt_stops");
+      ++counters_.corrupt_stops;
       break;
     case FaultKind::kControlLossStart:
       topo_->group_router(ev.target).set_control_classifier(
           control_classifier);
       disturber(ev.target).config().control_loss_prob =
           ev.disturb.control_loss_prob;
-      counters_.inc("control_loss_starts");
+      ++counters_.control_loss_starts;
       break;
     case FaultKind::kControlLossStop:
       disturber(ev.target).config().control_loss_prob = 0.0;
-      counters_.inc("control_loss_stops");
+      ++counters_.control_loss_stops;
       break;
     case FaultKind::kJitterStart:
       disturber(ev.target).config().jitter = ev.disturb.jitter;
-      counters_.inc("jitter_starts");
+      ++counters_.jitter_starts;
       break;
     case FaultKind::kJitterStop:
       disturber(ev.target).config().jitter = 0;
-      counters_.inc("jitter_stops");
+      ++counters_.jitter_stops;
       break;
     case FaultKind::kTrunkDown:
       if (topo_->group_router(ev.target).is_down()) break;
       topo_->group_router(ev.target).set_down(true);
-      counters_.inc("trunk_downs");
+      ++counters_.trunk_downs;
       mark(trace::router_host(ev.target), true);
       break;
     case FaultKind::kTrunkUp:
@@ -356,7 +356,7 @@ void FaultInjector::fire(const FaultEvent& ev) {
       // The trunk is physically back but the router has not recomputed
       // forwarding state yet: black-hole for the reconvergence window.
       topo_->group_router(ev.target).start_reconvergence(ev.delay);
-      counters_.inc("trunk_ups");
+      ++counters_.trunk_ups;
       mark(trace::router_host(ev.target), false);
       break;
     case FaultKind::kWirelessStart:
@@ -373,30 +373,30 @@ void FaultInjector::fire(const FaultEvent& ev) {
             wl, sim::substream_seed(seed_,
                                     "fault/wl:nic:" + std::to_string(i)));
       }
-      counters_.inc("wireless_starts");
+      ++counters_.wireless_starts;
       break;
     case FaultKind::kWirelessStop:
       for (std::size_t i = 0; i < topo_->receiver_count(); ++i) {
         if (topo_->receiver_group(i) != ev.target) continue;
         topo_->receiver_nic(i).clear_wireless_loss();
       }
-      counters_.inc("wireless_stops");
+      ++counters_.wireless_stops;
       break;
     case FaultKind::kMemPressureStart:
       if (mem_ != nullptr) mem_->set_squeeze(ev.mem_fraction);
-      counters_.inc("mem_pressure_starts");
+      ++counters_.mem_pressure_starts;
       break;
     case FaultKind::kMemPressureStop:
       if (mem_ != nullptr) mem_->set_squeeze(0.0);
-      counters_.inc("mem_pressure_stops");
+      ++counters_.mem_pressure_stops;
       break;
     case FaultKind::kAllocFailStart:
       if (mem_ != nullptr) mem_->set_alloc_fail_prob(ev.alloc_fail_prob);
-      counters_.inc("alloc_fail_starts");
+      ++counters_.alloc_fail_starts;
       break;
     case FaultKind::kAllocFailStop:
       if (mem_ != nullptr) mem_->set_alloc_fail_prob(0.0);
-      counters_.inc("alloc_fail_stops");
+      ++counters_.alloc_fail_stops;
       break;
   }
 }

@@ -24,7 +24,6 @@
 #include "net/loss.hpp"
 #include "net/topology.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/stats.hpp"
 #include "trace/trace.hpp"
 
 namespace hrmc::kern {
@@ -170,7 +169,38 @@ class FaultInjector {
   /// can parse protocol headers); net stays protocol-agnostic.
   ControlClassifier control_classifier = nullptr;
 
-  [[nodiscard]] const sim::CounterSet& counters() const { return counters_; }
+  /// Events applied, by kind. Idempotent transitions (crash, restart,
+  /// link, partition, heal, trunk) count only when they changed state;
+  /// the start/stop kinds count every firing.
+  struct Counters {
+    std::uint64_t crashes = 0;
+    std::uint64_t restarts = 0;
+    std::uint64_t link_downs = 0;
+    std::uint64_t link_ups = 0;
+    std::uint64_t partitions = 0;
+    std::uint64_t heals = 0;
+    std::uint64_t burst_loss_starts = 0;
+    std::uint64_t burst_loss_stops = 0;
+    std::uint64_t reorder_starts = 0;
+    std::uint64_t reorder_stops = 0;
+    std::uint64_t duplicate_starts = 0;
+    std::uint64_t duplicate_stops = 0;
+    std::uint64_t corrupt_starts = 0;
+    std::uint64_t corrupt_stops = 0;
+    std::uint64_t control_loss_starts = 0;
+    std::uint64_t control_loss_stops = 0;
+    std::uint64_t jitter_starts = 0;
+    std::uint64_t jitter_stops = 0;
+    std::uint64_t trunk_downs = 0;
+    std::uint64_t trunk_ups = 0;
+    std::uint64_t wireless_starts = 0;
+    std::uint64_t wireless_stops = 0;
+    std::uint64_t mem_pressure_starts = 0;
+    std::uint64_t mem_pressure_stops = 0;
+    std::uint64_t alloc_fail_starts = 0;
+    std::uint64_t alloc_fail_stops = 0;
+  };
+  [[nodiscard]] const Counters& counters() const { return counters_; }
 
   /// Attaches a trace sink; down/up events are emitted on behalf of the
   /// affected entity using the shared host-id convention (receiver i →
@@ -194,7 +224,7 @@ class FaultInjector {
   FaultPlan plan_;
   std::uint64_t seed_;
   bool armed_ = false;
-  sim::CounterSet counters_;
+  Counters counters_;
 };
 
 }  // namespace hrmc::net

@@ -9,15 +9,15 @@ Nic::Nic(sim::Scheduler& sched, std::string name, NicConfig cfg,
     : sched_(&sched), name_(std::move(name)), cfg_(cfg), loss_rng_(loss_seed) {}
 
 void Nic::transmit(kern::SkBuffPtr skb) {
-  counters_.inc("tx_offered");
+  ++counters_.tx_offered;
   if (!link_up_) {
-    counters_.inc("link_down_drops");
+    ++counters_.tx_link_down_drops;
     trace_.emit(trace::EventKind::kDrop, 0, 0, skb->wire_size(),
                 static_cast<std::uint32_t>(trace::DropReason::kLinkDown));
     return;
   }
   if (tx_queue_.size() >= cfg_.tx_ring) {
-    counters_.inc("tx_ring_drops");
+    ++counters_.tx_ring_drops;
     trace_.emit(trace::EventKind::kDeviceFull, 0, 0, skb->wire_size(),
                 static_cast<std::uint32_t>(tx_queue_.size()));
     return;
@@ -34,8 +34,8 @@ void Nic::transmit(kern::SkBuffPtr skb) {
   if (++burst_count_ > cfg_.overrun_burst &&
       burst_prev_ > cfg_.overrun_burst &&
       loss_rng_.chance(cfg_.overrun_prob)) {
-    counters_.inc("tx_overrun_drops");
-    counters_.inc("tx_ring_drops");
+    ++counters_.tx_overrun_drops;
+    ++counters_.tx_ring_drops;
     trace_.emit(trace::EventKind::kDrop, 0, 0, skb->wire_size(),
                 static_cast<std::uint32_t>(trace::DropReason::kOverrun));
     return;
@@ -55,8 +55,8 @@ void Nic::drain_tx() {
   const sim::SimTime serialize =
       sim::transmission_time(static_cast<std::int64_t>(skb->wire_size()),
                              cfg_.link_bps);
-  counters_.inc("tx_packets");
-  counters_.inc("tx_bytes", skb->wire_size());
+  ++counters_.tx_packets;
+  counters_.tx_bytes += skb->wire_size();
   // The packet leaves the wire after serialization; the ring keeps
   // draining back-to-back.
   sched_->schedule_after(
@@ -70,27 +70,27 @@ void Nic::drain_tx() {
 }
 
 void Nic::deliver(kern::SkBuffPtr skb) {
-  counters_.inc("rx_offered");
+  ++counters_.rx_offered;
   if (!link_up_) {
-    counters_.inc("link_down_drops");
+    ++counters_.rx_link_down_drops;
     trace_.emit(trace::EventKind::kDrop, 0, 0, skb->wire_size(),
                 static_cast<std::uint32_t>(trace::DropReason::kLinkDown));
     return;
   }
   if (loss_rng_.chance(cfg_.rx_loss_rate)) {
-    counters_.inc("rx_loss_drops");
+    ++counters_.rx_loss_drops;
     trace_.emit(trace::EventKind::kDrop, 0, 0, skb->wire_size(),
                 static_cast<std::uint32_t>(trace::DropReason::kLoss));
     return;
   }
   if (burst_loss_ && burst_loss_->drop()) {
-    counters_.inc("burst_loss_drops");
+    ++counters_.burst_loss_drops;
     trace_.emit(trace::EventKind::kDrop, 0, 0, skb->wire_size(),
                 static_cast<std::uint32_t>(trace::DropReason::kBurstLoss));
     return;
   }
   if (wireless_loss_ && wireless_loss_->drop(sched_->now())) {
-    counters_.inc("wireless_drops");
+    ++counters_.wireless_drops;
     trace_.emit(trace::EventKind::kDrop, 0, 0, skb->wire_size(),
                 static_cast<std::uint32_t>(trace::DropReason::kWireless));
     return;
@@ -103,7 +103,7 @@ void Nic::deliver(kern::SkBuffPtr skb) {
   // feedback that frees memory would turn pressure into deadlock.
   if (mem_ != nullptr && skb->wire_size() > kern::kMemRxReserveBytes &&
       !mem_->admit(mem_host_, skb->wire_size())) {
-    counters_.inc("mem_drops");
+    ++counters_.mem_drops;
     trace_.emit(trace::EventKind::kDrop, 0, 0, skb->wire_size(),
                 static_cast<std::uint32_t>(trace::DropReason::kNoMem));
     return;
@@ -114,17 +114,17 @@ void Nic::deliver(kern::SkBuffPtr skb) {
   sim::SimTime extra = 0;
   if (disturb_ && disturb_->config().any()) {
     if (disturb_->drop_control(*skb, classify_control_)) {
-      counters_.inc("control_loss_drops");
+      ++counters_.control_loss_drops;
       trace_.emit(trace::EventKind::kDrop, 0, 0, skb->wire_size(),
                   static_cast<std::uint32_t>(trace::DropReason::kControlLoss));
       return;
     }
     if (disturb_->corrupt(*skb)) {
-      counters_.inc("corrupted");
+      ++counters_.corrupted;
       trace_.emit(trace::EventKind::kCorrupt, 0, 0, skb->wire_size());
     }
     if (disturb_->duplicate()) {
-      counters_.inc("duplicated");
+      ++counters_.duplicated;
       kern::SkBuffPtr dup = skb->clone();
       sched_->schedule_after(cfg_.rx_delay,
                              [this, dup = std::move(dup)]() mutable {
@@ -135,10 +135,10 @@ void Nic::deliver(kern::SkBuffPtr skb) {
                              });
     }
     extra = disturb_->extra_delay();
-    if (extra > 0) counters_.inc("held");
+    if (extra > 0) ++counters_.held;
   }
-  counters_.inc("rx_packets");
-  counters_.inc("rx_bytes", skb->wire_size());
+  ++counters_.rx_packets;
+  counters_.rx_bytes += skb->wire_size();
   // Hold for the assigned path delay (the characteristic-group delay in
   // the paper's simulation), then hand to the host stack.
   sched_->schedule_after(cfg_.rx_delay + extra,

@@ -20,7 +20,6 @@
 #include "net/sink.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/stats.hpp"
 #include "trace/trace.hpp"
 
 namespace hrmc::kern {
@@ -71,7 +70,7 @@ class Nic final : public PacketSink {
 
   /// Link state (fault injection): a down link drops every packet in
   /// both directions at the card boundary, counted as
-  /// "link_down_drops". Packets already serializing are not recalled.
+  /// tx_/rx_link_down_drops. Packets already serializing are not recalled.
   void set_link_up(bool up) { link_up_ = up; }
   [[nodiscard]] bool link_up() const { return link_up_; }
 
@@ -109,7 +108,35 @@ class Nic final : public PacketSink {
   }
   void set_control_classifier(ControlClassifier c) { classify_control_ = c; }
 
-  [[nodiscard]] const sim::CounterSet& counters() const { return counters_; }
+  /// Per-card packet counts. Each direction closes: every packet
+  /// offered is passed on, dropped under one named reason, or (tx only)
+  /// still in the ring —
+  ///   tx_offered == tx_packets + tx_link_down_drops + tx_ring_drops
+  ///                 + tx_queue_len()
+  ///   rx_offered == rx_packets + rx_link_down_drops + rx_loss_drops
+  ///                 + burst_loss_drops + wireless_drops + mem_drops
+  ///                 + control_loss_drops
+  struct Counters {
+    std::uint64_t tx_offered = 0;          ///< transmit() calls
+    std::uint64_t tx_packets = 0;          ///< started serializing
+    std::uint64_t tx_bytes = 0;            ///< wire bytes of tx_packets
+    std::uint64_t tx_link_down_drops = 0;
+    std::uint64_t tx_ring_drops = 0;       ///< ring full or card overrun
+    std::uint64_t tx_overrun_drops = 0;    ///< the overrun share of the above
+    std::uint64_t rx_offered = 0;          ///< deliver() calls
+    std::uint64_t rx_packets = 0;          ///< handed on toward the host
+    std::uint64_t rx_bytes = 0;            ///< wire bytes of rx_packets
+    std::uint64_t rx_link_down_drops = 0;
+    std::uint64_t rx_loss_drops = 0;       ///< Bernoulli rx_loss_rate
+    std::uint64_t burst_loss_drops = 0;    ///< Gilbert–Elliott model
+    std::uint64_t wireless_drops = 0;      ///< 802.11-style fade model
+    std::uint64_t mem_drops = 0;           ///< refused by the accountant
+    std::uint64_t control_loss_drops = 0;  ///< disturber, control only
+    std::uint64_t corrupted = 0;           ///< disturbed, still passed on
+    std::uint64_t duplicated = 0;          ///< extra copies to the host
+    std::uint64_t held = 0;                ///< passed on with extra delay
+  };
+  [[nodiscard]] const Counters& counters() const { return counters_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const NicConfig& config() const { return cfg_; }
 
@@ -170,7 +197,7 @@ class Nic final : public PacketSink {
   std::int64_t burst_jiffy_ = -1;
   std::size_t burst_count_ = 0;
   std::size_t burst_prev_ = 0;
-  sim::CounterSet counters_;
+  Counters counters_;
   trace::TraceSink trace_;
 };
 

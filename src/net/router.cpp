@@ -31,15 +31,15 @@ bool Router::group_active(Addr group) const {
 }
 
 void Router::deliver(kern::SkBuffPtr skb) {
-  counters_.inc("offered");
+  ++counters_.offered;
   if (down_) {
-    counters_.inc("down_drops");
+    ++counters_.down_drops;
     trace_.emit(trace::EventKind::kDrop, 0, 0, skb->wire_size(),
                 static_cast<std::uint32_t>(trace::DropReason::kDown));
     return;
   }
   if (skb->ttl == 0) {
-    counters_.inc("ttl_drops");
+    ++counters_.ttl_drops;
     trace_.emit(trace::EventKind::kDrop, 0, 0, skb->wire_size(),
                 static_cast<std::uint32_t>(trace::DropReason::kTtl));
     return;
@@ -48,13 +48,13 @@ void Router::deliver(kern::SkBuffPtr skb) {
   // One loss draw per packet at ingress, before any duplication: a loss
   // here is correlated across every downstream receiver.
   if (loss_rng_.chance(cfg_.loss_rate)) {
-    counters_.inc("loss_drops");
+    ++counters_.loss_drops;
     trace_.emit(trace::EventKind::kDrop, 0, 0, skb->wire_size(),
                 static_cast<std::uint32_t>(trace::DropReason::kLoss));
     return;
   }
   if (burst_loss_ && burst_loss_->drop()) {
-    counters_.inc("burst_loss_drops");
+    ++counters_.burst_loss_drops;
     trace_.emit(trace::EventKind::kDrop, 0, 0, skb->wire_size(),
                 static_cast<std::uint32_t>(trace::DropReason::kBurstLoss));
     return;
@@ -64,22 +64,22 @@ void Router::deliver(kern::SkBuffPtr skb) {
   // corruption/duplicate/hold.
   if (disturb_ && disturb_->config().any()) {
     if (disturb_->drop_control(*skb, classify_control_)) {
-      counters_.inc("control_loss_drops");
+      ++counters_.control_loss_drops;
       trace_.emit(trace::EventKind::kDrop, 0, 0, skb->wire_size(),
                   static_cast<std::uint32_t>(trace::DropReason::kControlLoss));
       return;
     }
     if (disturb_->corrupt(*skb)) {
-      counters_.inc("corrupted");
+      ++counters_.corrupted;
       trace_.emit(trace::EventKind::kCorrupt, 0, 0, skb->wire_size());
     }
     if (disturb_->duplicate()) {
-      counters_.inc("duplicated");
+      ++counters_.duplicated;
       route(skb->clone());
     }
     const sim::SimTime hold = disturb_->extra_delay();
     if (hold > 0) {
-      counters_.inc("held");
+      ++counters_.held;
       sched_->schedule_after(hold, [this, skb = std::move(skb)]() mutable {
         route(std::move(skb));
       });
@@ -103,7 +103,7 @@ void Router::route(kern::SkBuffPtr skb) {
   // packets re-injected after a reorder hold), so the reconvergence
   // black-hole covers every packet the router would have moved.
   if (reconverging()) {
-    counters_.inc("reconverge_drops");
+    ++counters_.reconverge_drops;
     trace_.emit(trace::EventKind::kDrop, 0, 0, skb->wire_size(),
                 static_cast<std::uint32_t>(trace::DropReason::kReconverging));
     return;
@@ -111,12 +111,12 @@ void Router::route(kern::SkBuffPtr skb) {
   if (is_multicast(skb->daddr)) {
     auto it = groups_.find(skb->daddr);
     if (it == groups_.end() || it->second.empty()) {
-      counters_.inc("no_group_drops");
+      ++counters_.no_group_drops;
       trace_.emit(trace::EventKind::kDrop, 0, 0, skb->wire_size(),
                   static_cast<std::uint32_t>(trace::DropReason::kNoRoute));
       return;
     }
-    counters_.inc("mcast_forwarded");
+    ++counters_.mcast_forwarded;
     // Fan-out duplication is O(1) per egress: clone() shares the data
     // block (skb_clone semantics) and receivers only pull/read, so no
     // copy ever materializes on the multicast data path.
@@ -130,12 +130,12 @@ void Router::route(kern::SkBuffPtr skb) {
   auto it = routes_.find(skb->daddr);
   PacketSink* next = it != routes_.end() ? it->second : default_route_;
   if (next == nullptr) {
-    counters_.inc("no_route_drops");
+    ++counters_.no_route_drops;
     trace_.emit(trace::EventKind::kDrop, 0, 0, skb->wire_size(),
                 static_cast<std::uint32_t>(trace::DropReason::kNoRoute));
     return;
   }
-  counters_.inc("forwarded");
+  ++counters_.forwarded;
   enqueue(next, std::move(skb));
 }
 
@@ -145,7 +145,7 @@ void Router::enqueue(PacketSink* egress, kern::SkBuffPtr skb) {
   // are full duplex and switch ports have independent queues.
   Port& port = ports_[egress];
   if (port.queue.size() >= cfg_.queue_limit) {
-    counters_.inc("queue_drops");
+    ++counters_.queue_drops;
     trace_.emit(trace::EventKind::kDrop, 0, 0, skb->wire_size(),
                 static_cast<std::uint32_t>(trace::DropReason::kQueueFull));
     return;

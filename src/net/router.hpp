@@ -27,7 +27,6 @@
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/shard.hpp"
-#include "sim/stats.hpp"
 #include "trace/trace.hpp"
 
 namespace hrmc::net {
@@ -63,14 +62,14 @@ class Router final : public PacketSink {
   /// Partition state (fault injection): a down router black-holes every
   /// packet in every direction — for a group router this partitions its
   /// whole site from the rest of the internetwork. Counted as
-  /// "down_drops"; already-queued packets still drain.
+  /// down_drops; already-queued packets still drain.
   void set_down(bool down) { down_ = down; }
   [[nodiscard]] bool is_down() const { return down_; }
 
   /// Route reconvergence (topology change): after a trunk flap the
   /// router must recompute its forwarding state before packets flow
   /// again; until `now + window` everything offered is black-holed
-  /// (counted "reconverge_drops", reason kReconverging). Real routers
+  /// (counted reconverge_drops, reason kReconverging). Real routers
   /// either black-hole or loop during this interval — we model the
   /// black-hole, which is the harder case for a NAK-based protocol
   /// because feedback dies with the data. A zero window is a no-op, so
@@ -106,7 +105,32 @@ class Router final : public PacketSink {
   /// loss (net stays protocol-agnostic; the harness supplies this).
   void set_control_classifier(ControlClassifier c) { classify_control_ = c; }
 
-  [[nodiscard]] const sim::CounterSet& counters() const { return counters_; }
+  /// Per-router packet counts. Every packet offered (plus every
+  /// disturber duplicate) is forwarded once or dropped under one named
+  /// ingress reason, unless a disturber hold still has it —
+  ///   offered + duplicated == forwarded + mcast_forwarded + down_drops
+  ///       + ttl_drops + loss_drops + burst_loss_drops + control_loss_drops
+  ///       + reconverge_drops + no_group_drops + no_route_drops
+  /// queue_drops are per egress port, after fan-out, so they sit outside
+  /// that sum.
+  struct Counters {
+    std::uint64_t offered = 0;             ///< deliver() calls
+    std::uint64_t forwarded = 0;           ///< unicast packets routed
+    std::uint64_t mcast_forwarded = 0;     ///< multicast packets fanned out
+    std::uint64_t down_drops = 0;          ///< router partitioned
+    std::uint64_t ttl_drops = 0;
+    std::uint64_t loss_drops = 0;          ///< Bernoulli loss_rate
+    std::uint64_t burst_loss_drops = 0;    ///< Gilbert–Elliott model
+    std::uint64_t control_loss_drops = 0;  ///< disturber, control only
+    std::uint64_t reconverge_drops = 0;
+    std::uint64_t no_group_drops = 0;      ///< multicast with no egress
+    std::uint64_t no_route_drops = 0;      ///< unicast with no route
+    std::uint64_t queue_drops = 0;         ///< egress port queue full
+    std::uint64_t corrupted = 0;           ///< disturbed, still forwarded
+    std::uint64_t duplicated = 0;          ///< extra copies routed
+    std::uint64_t held = 0;                ///< routed after a disturber hold
+  };
+  [[nodiscard]] const Counters& counters() const { return counters_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   /// Total packets queued across all egress ports.
   [[nodiscard]] std::size_t queue_len() const;
@@ -169,7 +193,7 @@ class Router final : public PacketSink {
   PacketSink* default_route_ = nullptr;
 
   std::unordered_map<PacketSink*, Port> ports_;
-  sim::CounterSet counters_;
+  Counters counters_;
   trace::TraceSink trace_;
 };
 

@@ -115,11 +115,4 @@ std::uint64_t Scheduler::run_until(SimTime horizon) {
   return n;
 }
 
-std::uint64_t Scheduler::run_while(const std::function<bool()>& keep_going,
-                                   SimTime horizon) {
-  std::uint64_t n = 0;
-  while (keep_going() && step(horizon)) ++n;
-  return n;
-}
-
 }  // namespace hrmc::sim

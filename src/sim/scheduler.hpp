@@ -27,7 +27,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -269,8 +268,12 @@ class Scheduler {
 
   /// Runs events while `keep_going()` is true (checked between events),
   /// bounded by `horizon`. Returns the number of events executed.
-  std::uint64_t run_while(const std::function<bool()>& keep_going,
-                          SimTime horizon = kTimeInfinity);
+  template <typename Pred>
+  std::uint64_t run_while(Pred&& keep_going, SimTime horizon = kTimeInfinity) {
+    std::uint64_t n = 0;
+    while (keep_going() && step(horizon)) ++n;
+    return n;
+  }
 
   /// Executes at most one event. Returns false if the queue was empty or
   /// the next event lies beyond `horizon` (time does not advance then).

@@ -29,6 +29,57 @@ TEST(Pattern, FillVerifyRoundTrip) {
   EXPECT_EQ(pattern_verify(buf, 12345), 100u);
 }
 
+TEST(Pattern, WordWiseFillAndVerifyMatchPatternByte) {
+  // Every offset mod 256 (so every alignment against the 128-byte runs
+  // and the 256-byte table), plus offsets around 2^32 and 2^40 where
+  // i >> 7 carries into high bits, at lengths around word and run edges.
+  std::vector<std::uint64_t> offsets;
+  for (std::uint64_t o = 0; o < 256; ++o) offsets.push_back(o);
+  for (const std::uint64_t base :
+       {std::uint64_t{1} << 32, std::uint64_t{1} << 40}) {
+    for (const std::uint64_t d : {300, 129, 128, 1}) {
+      offsets.push_back(base - d);
+    }
+    for (const std::uint64_t d : {0, 1, 77, 128, 255}) {
+      offsets.push_back(base + d);
+    }
+  }
+  std::vector<std::uint8_t> buf;
+  for (const std::size_t len :
+       {0, 1, 7, 8, 127, 128, 129, 255, 256, 1460, 65536}) {
+    buf.resize(len);
+    for (const std::uint64_t off : offsets) {
+      // Start from the complement, so a byte that fill skips fails.
+      for (std::size_t k = 0; k < len; ++k) {
+        buf[k] = static_cast<std::uint8_t>(~pattern_byte(off + k));
+      }
+      pattern_fill(buf, off);
+      std::size_t first_bad = len;
+      for (std::size_t k = 0; k < len && first_bad == len; ++k) {
+        if (buf[k] != pattern_byte(off + k)) first_bad = k;
+      }
+      ASSERT_EQ(first_bad, len) << "fill len " << len << " offset " << off;
+      ASSERT_EQ(pattern_verify(buf, off), len)
+          << "verify len " << len << " offset " << off;
+    }
+  }
+}
+
+TEST(Pattern, VerifyReportsEverySingleBitFlipAtItsIndex) {
+  std::vector<std::uint8_t> buf(600);
+  for (const std::uint64_t off : {0, 77, 128}) {
+    pattern_fill(buf, off);
+    for (std::size_t k = 0; k < buf.size(); ++k) {
+      for (int bit = 0; bit < 8; ++bit) {
+        buf[k] ^= static_cast<std::uint8_t>(1u << bit);
+        ASSERT_EQ(pattern_verify(buf, off), k)
+            << "offset " << off << " bit " << bit;
+        buf[k] ^= static_cast<std::uint8_t>(1u << bit);
+      }
+    }
+  }
+}
+
 TEST(Disk, TransferTimeScalesWithSize) {
   DiskConfig cfg;
   cfg.jitter = 0.0;

@@ -236,8 +236,8 @@ TEST(Fault, PartitionThenHealAtSameInstantEndsHealed) {
   net::FaultInjector inj(rig.sched, rig.topo, plan, 9);
   inj.arm();
   rig.sched.run_until(sim::milliseconds(200));
-  EXPECT_EQ(inj.counters().get("partitions"), 1u);
-  EXPECT_EQ(inj.counters().get("heals"), 1u);
+  EXPECT_EQ(inj.counters().partitions, 1u);
+  EXPECT_EQ(inj.counters().heals, 1u);
   EXPECT_FALSE(rig.topo.group_router(0).is_down());
 }
 
@@ -252,8 +252,8 @@ TEST(Fault, HealThenPartitionAtSameInstantEndsPartitioned) {
   net::FaultInjector inj(rig.sched, rig.topo, plan, 9);
   inj.arm();
   rig.sched.run_until(sim::milliseconds(200));
-  EXPECT_EQ(inj.counters().get("heals"), 0u);  // no-op: nothing to heal
-  EXPECT_EQ(inj.counters().get("partitions"), 1u);
+  EXPECT_EQ(inj.counters().heals, 0u);  // no-op: nothing to heal
+  EXPECT_EQ(inj.counters().partitions, 1u);
   EXPECT_TRUE(rig.topo.group_router(0).is_down());
 }
 
@@ -273,8 +273,8 @@ TEST(Fault, DuplicateCrashAndRestartAreIdempotent) {
   rig.sched.run_until(sim::milliseconds(200));
   // One real transition each way; the duplicates were no-ops all the
   // way down — counters, protocol callbacks, and host state agree.
-  EXPECT_EQ(inj.counters().get("crashes"), 1u);
-  EXPECT_EQ(inj.counters().get("restarts"), 1u);
+  EXPECT_EQ(inj.counters().crashes, 1u);
+  EXPECT_EQ(inj.counters().restarts, 1u);
   EXPECT_EQ(crash_calls, 1);
   EXPECT_EQ(restart_calls, 1);
   EXPECT_FALSE(rig.topo.receiver(0).is_down());
@@ -290,8 +290,8 @@ TEST(Fault, DuplicateLinkEventsAreIdempotent) {
   net::FaultInjector inj(rig.sched, rig.topo, plan, 9);
   inj.arm();
   rig.sched.run_until(sim::milliseconds(200));
-  EXPECT_EQ(inj.counters().get("link_downs"), 1u);
-  EXPECT_EQ(inj.counters().get("link_ups"), 1u);
+  EXPECT_EQ(inj.counters().link_downs, 1u);
+  EXPECT_EQ(inj.counters().link_ups, 1u);
   EXPECT_TRUE(rig.topo.receiver_nic(1).link_up());
 }
 
@@ -336,8 +336,8 @@ TEST(Fault, DuplicateTrunkEventsAreIdempotentAndReconverge) {
   EXPECT_TRUE(rig.topo.group_router(0).reconverging());  // until 230 ms
   rig.sched.run_until(sim::milliseconds(240));
   EXPECT_FALSE(rig.topo.group_router(0).reconverging());
-  EXPECT_EQ(inj.counters().get("trunk_downs"), 1u);
-  EXPECT_EQ(inj.counters().get("trunk_ups"), 1u);
+  EXPECT_EQ(inj.counters().trunk_downs, 1u);
+  EXPECT_EQ(inj.counters().trunk_ups, 1u);
 }
 
 TEST(Fault, WirelessWindowInstallsPerNicModelsAndStopClears) {
@@ -365,13 +365,13 @@ TEST(Fault, WirelessWindowInstallsPerNicModelsAndStopClears) {
   }
   EXPECT_NE(probs[0], probs[1]);  // phase-offset decorrelation
   EXPECT_NE(probs[1], probs[2]);
-  EXPECT_EQ(inj.counters().get("wireless_starts"), 1u);
+  EXPECT_EQ(inj.counters().wireless_starts, 1u);
 
   rig.sched.run_until(sim::milliseconds(350));
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(rig.topo.receiver_nic(i).wireless_loss(), nullptr) << i;
   }
-  EXPECT_EQ(inj.counters().get("wireless_stops"), 1u);
+  EXPECT_EQ(inj.counters().wireless_stops, 1u);
 }
 
 }  // namespace

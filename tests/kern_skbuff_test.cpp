@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <vector>
+
+#include "hrmc/wire.hpp"
 
 namespace hrmc::kern {
 namespace {
@@ -192,6 +195,95 @@ TEST(SkBuff, WireSizeAddsFraming) {
   auto skb = SkBuff::alloc(100);
   skb->put(60);
   EXPECT_EQ(skb->wire_size(), 60u + SkBuff::kLowerLayerBytes);
+}
+
+/// A DATA packet whose header checksum covers `payload` bytes, with a
+/// little tailroom to spare.
+SkBuffPtr checksummed_packet(std::size_t payload) {
+  auto skb = SkBuff::alloc(payload + 16);
+  std::uint8_t* p = skb->put(payload);
+  for (std::size_t i = 0; i < payload; ++i) {
+    p[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  }
+  proto::Header h;
+  h.length = static_cast<std::uint32_t>(payload);
+  proto::write_header(*skb, h);
+  return skb;
+}
+
+TEST(SkBuffChecksum, FannedOutBlockIsSummedOnce) {
+  auto pkt = checksummed_packet(1000);
+  const std::size_t len = pkt->size();
+  // Ten receivers, as Router::route fans out: nine clones plus the
+  // original, all on one block.
+  std::vector<SkBuffPtr> views;
+  for (int i = 0; i < 9; ++i) views.push_back(pkt->clone());
+  views.push_back(std::move(pkt));
+  skbuff_stats_reset();
+  for (const auto& v : views) {
+    ASSERT_TRUE(proto::read_header(*v).has_value());
+  }
+  EXPECT_EQ(skbuff_stats().csum_bytes, len);
+  EXPECT_EQ(skbuff_stats().csum_cached, 9u);
+  EXPECT_EQ(skbuff_stats().cow_copies, 0u);
+}
+
+TEST(SkBuffChecksum, CorruptingOneCloneLeavesTheOtherVerified) {
+  auto a = checksummed_packet(200);
+  auto b = a->clone();
+  ASSERT_TRUE(a->checksum_ok());
+  b->mutable_bytes()[30] ^= 0x10;  // copy-on-write: b leaves a's block
+  EXPECT_FALSE(b->checksum_ok());
+  EXPECT_TRUE(a->checksum_ok());
+}
+
+TEST(SkBuffChecksum, InPlaceFlipOfASoleOwnerIsCaught) {
+  auto skb = checksummed_packet(200);
+  ASSERT_TRUE(skb->checksum_ok());
+  ASSERT_FALSE(skb->shared());
+  skb->mutable_bytes()[30] ^= 0x10;  // no copy: written in place
+  EXPECT_FALSE(skb->checksum_ok());
+}
+
+TEST(SkBuffChecksum, PushAndPutForceAResum) {
+  auto skb = checksummed_packet(200);
+  const std::size_t len = skb->size();
+  ASSERT_TRUE(skb->checksum_ok());
+  skbuff_stats_reset();
+  // Each write is undone by pull/trim, so the view is the memoized one
+  // again: only a dropped memo explains a re-sum.
+  skb->push(2);
+  skb->pull(2);
+  EXPECT_TRUE(skb->checksum_ok());
+  skb->put(2);
+  skb->trim(len);
+  EXPECT_TRUE(skb->checksum_ok());
+  EXPECT_EQ(skbuff_stats().csum_bytes, 2 * len);
+  EXPECT_EQ(skbuff_stats().csum_cached, 0u);
+  EXPECT_TRUE(skb->checksum_ok());
+  EXPECT_EQ(skbuff_stats().csum_cached, 1u);
+}
+
+TEST(SkBuffChecksum, RecycledBlockStartsUnchecked) {
+  skbuff_pool_trim();
+  // A corrupt packet, shared, allocated first so that it cannot take
+  // the block recycled below.
+  auto bad = checksummed_packet(200);
+  bad->mutable_bytes()[30] ^= 0x10;
+  auto bad_clone = bad->clone();
+  const std::uint8_t* recycled = nullptr;
+  {
+    auto good = checksummed_packet(200);  // same size class and view
+    ASSERT_TRUE(good->checksum_ok());
+    recycled = good->data() - good->headroom();
+  }
+  // unshare() takes good's block from the pool and copies bad bytes into
+  // the very view good verified: a memo surviving the pool would pass it.
+  skbuff_stats_reset();
+  bad_clone->unshare();
+  EXPECT_EQ(skbuff_stats().pool_hits, 1u);
+  EXPECT_EQ(bad_clone->data() - bad_clone->headroom(), recycled);
+  EXPECT_FALSE(bad_clone->checksum_ok());
 }
 
 TEST(SkBuffQueue, FifoOrderAndByteAccounting) {

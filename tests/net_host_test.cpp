@@ -134,7 +134,7 @@ TEST(Host, SendPathChargesCpuAndLatency) {
   // hrmc_cost(1000) = 35 µs occupancy + 150 µs pipelined latency before
   // the NIC sees it; NIC then serializes.
   EXPECT_GE(host.cpu().total_busy(), sim::microseconds(35));
-  EXPECT_EQ(nic.counters().get("tx_packets"), 1u);
+  EXPECT_EQ(nic.counters().tx_packets, 1u);
 }
 
 }  // namespace

@@ -52,7 +52,7 @@ TEST(Nic, TxQueueOverflowDrops) {
 
   // One packet goes into serialization immediately; 4 queue; rest drop.
   for (int i = 0; i < 10; ++i) nic.transmit(make_packet(100));
-  EXPECT_EQ(nic.counters().get("tx_ring_drops"), 5u);
+  EXPECT_EQ(nic.counters().tx_ring_drops, 5u);
   sched.run_until();
   EXPECT_EQ(up.packets.size(), 5u);
 }
@@ -83,21 +83,51 @@ TEST(Nic, TxRingExactFillBoundary) {
 
   // Exactly fill: one serializing + tx_ring queued = 5 accepted.
   for (int i = 0; i < 5; ++i) nic.transmit(make_packet(100));
-  EXPECT_EQ(nic.counters().get("tx_ring_drops"), 0u);
+  EXPECT_EQ(nic.counters().tx_ring_drops, 0u);
   EXPECT_EQ(nic.tx_free(), 0u);
 
   // One more is the first to overflow.
   nic.transmit(make_packet(100));
-  EXPECT_EQ(nic.counters().get("tx_ring_drops"), 1u);
+  EXPECT_EQ(nic.counters().tx_ring_drops, 1u);
   EXPECT_EQ(nic.tx_free(), 0u);  // full stays full, never underflows
 
   sched.run_until();
   EXPECT_EQ(up.packets.size(), 5u);
   EXPECT_EQ(nic.tx_free(), 4u);
   // Accounting closes: everything offered either went out or dropped.
-  EXPECT_EQ(nic.counters().get("tx_offered"),
-            nic.counters().get("tx_packets") +
-                nic.counters().get("tx_ring_drops"));
+  EXPECT_EQ(nic.counters().tx_offered,
+            nic.counters().tx_packets + nic.counters().tx_ring_drops);
+}
+
+TEST(Nic, RxAccountingClosesUnderLoss) {
+  // Every packet offered on receive is passed on or dropped under
+  // exactly one named reason, with Bernoulli and burst loss both armed.
+  sim::Scheduler sched;
+  NicConfig cfg;
+  cfg.rx_loss_rate = 0.2;
+  Nic nic(sched, "n", cfg, 5);
+  CaptureSink host(sched);
+  nic.attach_host(&host);
+  GilbertElliottConfig ge;
+  ge.p_good_bad = 0.05;
+  ge.p_bad_good = 0.3;
+  nic.set_burst_loss(ge, 9);
+
+  for (int i = 0; i < 1000; ++i) nic.deliver(make_packet(100));
+  nic.set_link_up(false);
+  for (int i = 0; i < 10; ++i) nic.deliver(make_packet(100));
+  sched.run_until();
+
+  const Nic::Counters& c = nic.counters();
+  EXPECT_GT(c.rx_loss_drops, 0u);
+  EXPECT_GT(c.burst_loss_drops, 0u);
+  EXPECT_EQ(c.rx_link_down_drops, 10u);
+  EXPECT_EQ(c.rx_offered, 1010u);
+  EXPECT_EQ(c.rx_offered, c.rx_packets + c.rx_link_down_drops +
+                              c.rx_loss_drops + c.burst_loss_drops +
+                              c.wireless_drops + c.mem_drops +
+                              c.control_loss_drops);
+  EXPECT_EQ(host.packets.size(), c.rx_packets);
 }
 
 TEST(Nic, TxFreeRecoversAsRingDrains) {
@@ -130,7 +160,7 @@ TEST(Nic, LinkDownDropsTransmit) {
   for (int i = 0; i < 5; ++i) nic.transmit(make_packet(100));
   sched.run_until();
   EXPECT_TRUE(up.packets.empty());
-  EXPECT_EQ(nic.counters().get("link_down_drops"), 5u);
+  EXPECT_EQ(nic.counters().tx_link_down_drops, 5u);
 }
 
 TEST(Nic, LinkDownDropsReceive) {
@@ -143,7 +173,7 @@ TEST(Nic, LinkDownDropsReceive) {
   for (int i = 0; i < 5; ++i) nic.deliver(make_packet(100));
   sched.run_until();
   EXPECT_TRUE(host.packets.empty());
-  EXPECT_EQ(nic.counters().get("link_down_drops"), 5u);
+  EXPECT_EQ(nic.counters().rx_link_down_drops, 5u);
 }
 
 TEST(Nic, LinkUpResumesTraffic) {
@@ -158,7 +188,7 @@ TEST(Nic, LinkUpResumesTraffic) {
   nic.transmit(make_packet(100));
   sched.run_until();
   EXPECT_EQ(up.packets.size(), 1u);
-  EXPECT_EQ(nic.counters().get("link_down_drops"), 1u);
+  EXPECT_EQ(nic.counters().tx_link_down_drops, 1u);
 }
 
 TEST(Nic, BurstLossDropsAtReceive) {
@@ -175,7 +205,7 @@ TEST(Nic, BurstLossDropsAtReceive) {
   for (int i = 0; i < 10; ++i) nic.deliver(make_packet(10));
   sched.run_until();
   EXPECT_TRUE(host.packets.empty());
-  EXPECT_EQ(nic.counters().get("burst_loss_drops"), 10u);
+  EXPECT_EQ(nic.counters().burst_loss_drops, 10u);
 
   nic.clear_burst_loss();
   nic.deliver(make_packet(10));
@@ -207,7 +237,7 @@ TEST(Nic, RxLossIsApplied) {
 
   for (int i = 0; i < 1000; ++i) nic.deliver(make_packet(10));
   sched.run_until();
-  const auto dropped = nic.counters().get("rx_loss_drops");
+  const auto dropped = nic.counters().rx_loss_drops;
   EXPECT_NEAR(static_cast<double>(dropped), 500.0, 60.0);
   EXPECT_EQ(host.packets.size() + dropped, 1000u);
 }
@@ -235,14 +265,14 @@ TEST(Nic, SustainedOverBurstTriggersOverruns) {
 
   // Jiffy 0: 20 enqueues (10 over, but no *previous* over-jiffy: clean).
   for (int i = 0; i < 20; ++i) nic.transmit(make_packet(100));
-  EXPECT_EQ(nic.counters().get("tx_overrun_drops"), 0u);
+  EXPECT_EQ(nic.counters().tx_overrun_drops, 0u);
 
   // Jiffy 1: sustained pressure; enqueues beyond 10 drop.
   sched.schedule_at(sim::milliseconds(10), [&] {
     for (int i = 0; i < 20; ++i) nic.transmit(make_packet(100));
   });
   sched.run_until(sim::milliseconds(11));
-  EXPECT_EQ(nic.counters().get("tx_overrun_drops"), 10u);
+  EXPECT_EQ(nic.counters().tx_overrun_drops, 10u);
 }
 
 TEST(Nic, IsolatedBurstsNeverOverrun) {
@@ -261,7 +291,7 @@ TEST(Nic, IsolatedBurstsNeverOverrun) {
     });
   }
   sched.run_until();
-  EXPECT_EQ(nic.counters().get("tx_overrun_drops"), 0u);
+  EXPECT_EQ(nic.counters().tx_overrun_drops, 0u);
 }
 
 }  // namespace

@@ -52,7 +52,7 @@ TEST(Router, NoRouteDropsAndCounts) {
   Router r(sched, "r", RouterConfig{}, 1);
   r.deliver(make_packet(make_addr(10, 9, 9, 9)));
   sched.run_until();
-  EXPECT_EQ(r.counters().get("no_route_drops"), 1u);
+  EXPECT_EQ(r.counters().no_route_drops, 1u);
 }
 
 TEST(Router, ServiceTimeMatchesSpeed) {
@@ -82,7 +82,7 @@ TEST(Router, QueueLimitDrops) {
     r.deliver(make_packet(make_addr(10, 0, 0, 1)));
   }
   // One in service + 3 queued survive.
-  EXPECT_EQ(r.counters().get("queue_drops"), 6u);
+  EXPECT_EQ(r.counters().queue_drops, 6u);
   sched.run_until();
   EXPECT_EQ(sink.packets.size(), 4u);
 }
@@ -97,7 +97,7 @@ TEST(Router, MulticastDuplicatesToAllGroupMembers) {
   r.join_group(group, &c);
   auto pkt = make_packet(group, 64);
   pkt->put(0);
-  pkt->data()[0] = 42;
+  pkt->mutable_bytes()[0] = 42;
   r.deliver(std::move(pkt));
   sched.run_until();
   ASSERT_EQ(a.packets.size(), 1u);
@@ -115,7 +115,7 @@ TEST(Router, MulticastWithoutMembersDrops) {
   Router r(sched, "r", RouterConfig{}, 1);
   r.deliver(make_packet(make_addr(224, 1, 1, 1)));
   sched.run_until();
-  EXPECT_EQ(r.counters().get("no_group_drops"), 1u);
+  EXPECT_EQ(r.counters().no_group_drops, 1u);
 }
 
 TEST(Router, LeaveGroupPrunes) {
@@ -162,8 +162,88 @@ TEST(Router, CorrelatedLossIsPreFanout) {
   // Loss is perfectly correlated: both receivers got exactly the same set.
   EXPECT_EQ(a.packets.size(), b.packets.size());
   EXPECT_NEAR(static_cast<double>(a.packets.size()), 1400.0, 100.0);
-  EXPECT_NEAR(static_cast<double>(r.counters().get("loss_drops")), 600.0,
+  EXPECT_NEAR(static_cast<double>(r.counters().loss_drops), 600.0,
               100.0);
+}
+
+TEST(Router, IngressAccountingCloses) {
+  // With no disturber, every offered packet is forwarded once or dropped
+  // under exactly one named ingress reason. Port queue drops come after
+  // fan-out, so they close a second, per-egress sum instead.
+  sim::Scheduler sched;
+  RouterConfig cfg;
+  cfg.loss_rate = 0.2;
+  cfg.queue_limit = 4;
+  Router r(sched, "r", cfg, 11);
+  CaptureSink uni(sched), a(sched), b(sched);
+  const Addr dst = make_addr(10, 0, 0, 1);
+  const Addr group = make_addr(224, 1, 1, 1);
+  r.add_route(dst, &uni);
+  r.join_group(group, &a);
+  r.join_group(group, &b);
+  GilbertElliottConfig ge;
+  ge.p_good_bad = 0.05;
+  ge.p_bad_good = 0.5;
+  r.set_burst_loss(ge, 13);
+
+  const auto offer = [&](int rounds) {
+    for (int i = 0; i < rounds; ++i) {
+      r.deliver(make_packet(dst));
+      r.deliver(make_packet(group));
+      r.deliver(make_packet(make_addr(10, 9, 9, 9)));  // no route
+      r.deliver(make_packet(make_addr(224, 2, 2, 2)));  // no members
+      auto expired = make_packet(dst);
+      expired->ttl = 0;
+      r.deliver(std::move(expired));
+    }
+  };
+  offer(200);
+  r.set_down(true);
+  offer(5);
+  r.set_down(false);
+  r.start_reconvergence(sim::milliseconds(1));
+  offer(5);
+  sched.run_until();
+
+  const Router::Counters& c = r.counters();
+  for (const std::uint64_t n :
+       {c.forwarded, c.mcast_forwarded, c.down_drops, c.ttl_drops,
+        c.loss_drops, c.burst_loss_drops, c.reconverge_drops,
+        c.no_group_drops, c.no_route_drops, c.queue_drops}) {
+    EXPECT_GT(n, 0u);
+  }
+  EXPECT_EQ(c.offered, 5u * 210u);
+  EXPECT_EQ(c.offered, c.forwarded + c.mcast_forwarded + c.down_drops +
+                           c.ttl_drops + c.loss_drops + c.burst_loss_drops +
+                           c.control_loss_drops + c.reconverge_drops +
+                           c.no_group_drops + c.no_route_drops);
+  EXPECT_EQ(c.forwarded + 2 * c.mcast_forwarded,
+            uni.packets.size() + a.packets.size() + b.packets.size() +
+                c.queue_drops);
+}
+
+TEST(Router, IngressAccountingCountsDuplicatesAndHolds) {
+  // A disturber's duplicate is routed like an offered packet, and a held
+  // packet is counted when its hold ends and it is routed.
+  sim::Scheduler sched;
+  RouterConfig cfg;
+  cfg.queue_limit = 10000;
+  Router r(sched, "r", cfg, 3);
+  CaptureSink sink(sched);
+  const Addr dst = make_addr(10, 0, 0, 1);
+  r.add_route(dst, &sink);
+  DisturbConfig& d = r.ensure_disturb(17).config();
+  d.dup_prob = 0.3;
+  d.reorder_prob = 0.3;
+  d.reorder_hold = sim::milliseconds(5);
+  for (int i = 0; i < 500; ++i) r.deliver(make_packet(dst));
+  sched.run_until();
+
+  const Router::Counters& c = r.counters();
+  EXPECT_GT(c.duplicated, 0u);
+  EXPECT_GT(c.held, 0u);
+  EXPECT_EQ(c.offered + c.duplicated, c.forwarded);
+  EXPECT_EQ(sink.packets.size(), c.forwarded);
 }
 
 TEST(Router, ReconvergenceBlackholesUntilWindowExpires) {
@@ -186,7 +266,7 @@ TEST(Router, ReconvergenceBlackholesUntilWindowExpires) {
   sched.run_until(sim::milliseconds(40));
   EXPECT_EQ(uni.packets.size(), 0u);
   EXPECT_EQ(grp.packets.size(), 0u);
-  EXPECT_EQ(r.counters().get("reconverge_drops"), 2u);
+  EXPECT_EQ(r.counters().reconverge_drops, 2u);
 
   sched.run_until(sim::milliseconds(60));
   EXPECT_FALSE(r.reconverging());
@@ -195,7 +275,7 @@ TEST(Router, ReconvergenceBlackholesUntilWindowExpires) {
   sched.run_until();
   EXPECT_EQ(uni.packets.size(), 1u);
   EXPECT_EQ(grp.packets.size(), 1u);
-  EXPECT_EQ(r.counters().get("reconverge_drops"), 2u);  // no new drops
+  EXPECT_EQ(r.counters().reconverge_drops, 2u);  // no new drops
 }
 
 TEST(Router, ReconvergenceWindowExtendsNeverShortens) {
@@ -226,7 +306,7 @@ TEST(Router, ZeroReconvergenceWindowIsNoOp) {
   r.deliver(make_packet(make_addr(10, 0, 0, 1)));
   sched.run_until();
   EXPECT_EQ(sink.packets.size(), 1u);
-  EXPECT_EQ(r.counters().get("reconverge_drops"), 0u);
+  EXPECT_EQ(r.counters().reconverge_drops, 0u);
 }
 
 TEST(Router, TtlExpiredDrops) {
@@ -239,7 +319,7 @@ TEST(Router, TtlExpiredDrops) {
   r.deliver(std::move(pkt));
   sched.run_until();
   EXPECT_EQ(sink.packets.size(), 0u);
-  EXPECT_EQ(r.counters().get("ttl_drops"), 1u);
+  EXPECT_EQ(r.counters().ttl_drops, 1u);
 }
 
 }  // namespace

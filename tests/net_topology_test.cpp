@@ -166,7 +166,7 @@ TEST(Topology, CorrelatedShareSplitsLoss) {
     });
   }
   sched.run_until();
-  const auto router_drops = topo.group_router(0).counters().get("loss_drops");
+  const auto router_drops = topo.group_router(0).counters().loss_drops;
   std::uint64_t nic_drops = 0;
   // Receiver NICs are reachable via counters on the topology's NICs; use
   // the packet counts instead: arrivals differ between receivers exactly
