@@ -31,7 +31,7 @@ void panel(const char* title, std::uint64_t file_bytes) {
     for (int n = 1; n <= 3; ++n) {
       RunResult r = run_transfer(cell(file_bytes, buf, n));
       row.push_back(std::to_string(r.sender.naks_received));
-      if (n == 1) drops_one = r.sender_nic_tx_drops;
+      if (n == 1) drops_one = r.sender_nic.tx_ring_drops;
     }
     row.push_back(std::to_string(drops_one));
     t.add_row(std::move(row));

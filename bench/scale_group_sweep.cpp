@@ -129,7 +129,7 @@ CellResult run_cell(Sweep& sweep, std::uint64_t leaves) {
   sweep.metric(name, "naks_rx", static_cast<double>(s.naks_received));
   sweep.metric(name, "retransmissions",
                static_cast<double>(s.retransmissions));
-  sweep.metric(name, "stall_s", sim::to_seconds(c.run.stall_time));
+  sweep.metric(name, "stall_s", sim::to_seconds(s.window_stall_time));
   return c;
 }
 

@@ -162,8 +162,8 @@ int main(int argc, char** argv) {
         segment, static_cast<unsigned long long>(spec.seed), seg_s,
         sim_total_s, target_s,
         static_cast<unsigned long long>(res.receivers_total.stall_rejoins),
-        static_cast<unsigned long long>(res.evicted_count),
-        static_cast<double>(res.stall_time) / 1e9);
+        static_cast<unsigned long long>(res.sender.members_evicted),
+        static_cast<double>(res.sender.window_stall_time) / 1e9);
     std::fflush(stdout);
   }
 

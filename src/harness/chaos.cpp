@@ -18,41 +18,15 @@ using net::FaultKind;
 
 // --- Generation ------------------------------------------------------
 
-/// Recovery partner of a fault kind (nullopt when the kind has none in
-/// the direction asked). Every generated fault carries its partner so
-/// scenarios stay survivable; the shrinker removes pairs together so a
-/// candidate never turns a recoverable fault into an unrecoverable one
-/// (which would change the failure being minimized).
-std::optional<FaultKind> partner_of(FaultKind k) {
-  switch (k) {
-    case FaultKind::kReceiverCrash: return FaultKind::kReceiverRestart;
-    case FaultKind::kReceiverRestart: return FaultKind::kReceiverCrash;
-    case FaultKind::kLinkDown: return FaultKind::kLinkUp;
-    case FaultKind::kLinkUp: return FaultKind::kLinkDown;
-    case FaultKind::kPartition: return FaultKind::kHeal;
-    case FaultKind::kHeal: return FaultKind::kPartition;
-    case FaultKind::kBurstLossStart: return FaultKind::kBurstLossStop;
-    case FaultKind::kBurstLossStop: return FaultKind::kBurstLossStart;
-    case FaultKind::kReorderStart: return FaultKind::kReorderStop;
-    case FaultKind::kReorderStop: return FaultKind::kReorderStart;
-    case FaultKind::kDuplicateStart: return FaultKind::kDuplicateStop;
-    case FaultKind::kDuplicateStop: return FaultKind::kDuplicateStart;
-    case FaultKind::kCorruptStart: return FaultKind::kCorruptStop;
-    case FaultKind::kCorruptStop: return FaultKind::kCorruptStart;
-    case FaultKind::kControlLossStart: return FaultKind::kControlLossStop;
-    case FaultKind::kControlLossStop: return FaultKind::kControlLossStart;
-    case FaultKind::kJitterStart: return FaultKind::kJitterStop;
-    case FaultKind::kJitterStop: return FaultKind::kJitterStart;
-    case FaultKind::kTrunkDown: return FaultKind::kTrunkUp;
-    case FaultKind::kTrunkUp: return FaultKind::kTrunkDown;
-    case FaultKind::kWirelessStart: return FaultKind::kWirelessStop;
-    case FaultKind::kWirelessStop: return FaultKind::kWirelessStart;
-    case FaultKind::kMemPressureStart: return FaultKind::kMemPressureStop;
-    case FaultKind::kMemPressureStop: return FaultKind::kMemPressureStart;
-    case FaultKind::kAllocFailStart: return FaultKind::kAllocFailStop;
-    case FaultKind::kAllocFailStop: return FaultKind::kAllocFailStart;
-  }
-  return std::nullopt;
+/// Recovery partner of a fault kind: FaultKind lists each onset right
+/// before its recovery, so the partner differs in the lowest bit. Every
+/// generated fault carries its partner so scenarios stay survivable; the
+/// shrinker removes pairs together so a candidate never turns a
+/// recoverable fault into an unrecoverable one (which would change the
+/// failure being minimized).
+FaultKind partner_of(FaultKind k) {
+  static_assert(net::kFaultKindCount % 2 == 0);
+  return static_cast<FaultKind>(static_cast<std::size_t>(k) ^ 1);
 }
 
 [[nodiscard]] bool receiver_scoped(FaultKind k) {
@@ -463,6 +437,18 @@ ChaosVerdict judge_result(const ChaosSpec& spec, const RunResult& res) {
          std::to_string(res.mem_peak_bytes) + " > budget " +
          std::to_string(spec.mem_budget));
   }
+  // Packet conservation: every packet a NIC or router was offered is
+  // passed on, dropped under a named reason, or still in flight.
+  if (!res.sender_nic.rx_conserved() || !res.receiver_nics.rx_conserved()) {
+    fail("unaccounted packet: NIC receive counts do not close");
+  }
+  if (!res.sender_nic.tx_conserved(res.sender_nic_tx_queued) ||
+      !res.receiver_nics.tx_conserved(res.receiver_nics_tx_queued)) {
+    fail("unaccounted packet: NIC transmit counts do not close");
+  }
+  if (!res.routers.ingress_conserved()) {
+    fail("unaccounted packet: router ingress counts do not close");
+  }
   if (res.trace_dropped == 0) {
     trace::VerifyOptions opt;
     // Release safety is undefined under kRmcFallback by design
@@ -473,7 +459,7 @@ ChaosVerdict judge_result(const ChaosSpec& spec, const RunResult& res) {
     // reorder holds, blackouts up to ~5 s); the bound stays a liveness
     // floor, not a latency SLO.
     opt.nak_answer_bound = sim::seconds(15);
-    // Invariant 4 (budget safety): every kAllocFail / kCacheEvict
+    // Invariant 5 (budget safety): every kAllocFail / kCacheEvict
     // record's ledger-live value must stay within the per-host budget.
     opt.mem_budget = spec.mem_budget;
     const trace::VerifyResult tv = trace::verify(res.trace_records, opt);
@@ -690,10 +676,9 @@ namespace {
 void remove_fault_pair(ChaosSpec& s, std::size_t i) {
   const FaultEvent removed = s.faults[i];
   s.faults.erase(s.faults.begin() + static_cast<std::ptrdiff_t>(i));
-  const auto partner = partner_of(removed.kind);
-  if (!partner) return;
+  const FaultKind partner = partner_of(removed.kind);
   for (std::size_t j = 0; j < s.faults.size(); ++j) {
-    if (s.faults[j].kind == *partner &&
+    if (s.faults[j].kind == partner &&
         s.faults[j].target == removed.target) {
       s.faults.erase(s.faults.begin() + static_cast<std::ptrdiff_t>(j));
       return;
@@ -728,11 +713,10 @@ bool drop_last_receiver(ChaosSpec& s) {
 /// partner kind, not earlier in time); nullopt when `i` is not an onset
 /// or its partner is gone.
 std::optional<std::size_t> partner_index(const ChaosSpec& s, std::size_t i) {
-  const auto partner = partner_of(s.faults[i].kind);
-  if (!partner) return std::nullopt;
+  const FaultKind partner = partner_of(s.faults[i].kind);
   for (std::size_t j = 0; j < s.faults.size(); ++j) {
     if (j == i) continue;
-    if (s.faults[j].kind == *partner &&
+    if (s.faults[j].kind == partner &&
         s.faults[j].target == s.faults[i].target &&
         s.faults[j].at >= s.faults[i].at) {
       return j;

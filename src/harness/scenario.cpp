@@ -1,9 +1,12 @@
 #include "harness/scenario.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 
 #include "harness/thread_budget.hpp"
 #include "hrmc/modeled.hpp"
@@ -58,41 +61,19 @@ std::size_t fault_domain(const net::FaultEvent& ev, const net::Topology& topo) {
   }
 }
 
-/// Adds one receiver slot's stats to the run totals (and the per-slot
-/// vector). Field list must match proto::ReceiverStats.
-void add_receiver_stats(RunResult& res, const proto::ReceiverStats& rs) {
-  res.per_receiver.push_back(rs);
-  auto& t = res.receivers_total;
-  t.data_packets_received += rs.data_packets_received;
-  t.data_bytes_received += rs.data_bytes_received;
-  t.duplicate_packets += rs.duplicate_packets;
-  t.out_of_order_packets += rs.out_of_order_packets;
-  t.window_overflow_drops += rs.window_overflow_drops;
-  t.naks_sent += rs.naks_sent;
-  t.naks_suppressed += rs.naks_suppressed;
-  t.naks_peer_suppressed += rs.naks_peer_suppressed;
-  t.naks_forwarded += rs.naks_forwarded;
-  t.rate_requests_sent += rs.rate_requests_sent;
-  t.urgent_requests_sent += rs.urgent_requests_sent;
-  t.updates_sent += rs.updates_sent;
-  t.agg_updates_sent += rs.agg_updates_sent;
-  t.repairs_served += rs.repairs_served;
-  t.repair_failovers += rs.repair_failovers;
-  t.probes_received += rs.probes_received;
-  t.keepalives_received += rs.keepalives_received;
-  t.nak_errs_received += rs.nak_errs_received;
-  t.bytes_delivered += rs.bytes_delivered;
-  t.bad_packets += rs.bad_packets;
-  t.join_fast_retries += rs.join_fast_retries;
-  t.fec_packets_received += rs.fec_packets_received;
-  t.fec_recoveries += rs.fec_recoveries;
-  t.fec_stale_groups += rs.fec_stale_groups;
-  t.fec_decode_failures += rs.fec_decode_failures;
-  t.stall_rejoins += rs.stall_rejoins;
-  t.alloc_fails += rs.alloc_fails;
-  t.ooo_evictions += rs.ooo_evictions;
-  t.fec_evictions += rs.fec_evictions;
-  t.repair_cache_evictions += rs.repair_cache_evictions;
+/// Adds counter struct `from` into `into`, field by field, without
+/// naming a field. Counter structs hold nothing but 64-bit counters; the
+/// static_assert rejects padding and floating-point fields, whose bytes a
+/// word-wise add would misread.
+template <typename S>
+void add_counters(S& into, const S& from) {
+  static_assert(std::has_unique_object_representations_v<S> &&
+                alignof(S) == alignof(std::uint64_t));
+  using Words = std::array<std::uint64_t, sizeof(S) / sizeof(std::uint64_t)>;
+  auto sum = std::bit_cast<Words>(into);
+  const auto add = std::bit_cast<Words>(from);
+  for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += add[i];
+  into = std::bit_cast<S>(sum);
 }
 
 }  // namespace
@@ -466,10 +447,7 @@ RunResult run_transfer(const Scenario& sc) {
   RunResult res;
   res.completed = true;
   res.sender_finished = snd.finished();
-  res.stall_time = snd.window_stall_time();
   res.sender = snd.stats();
-  res.evicted_count = res.sender.members_evicted;
-  res.member_min_rescans = snd.members().min_rescans();
   res.member_min_rescan_work = snd.members().min_rescan_work();
   sim::SimTime last_complete = sc.sender_start;
   for (std::size_t i = 0; i < sinks.size(); ++i) {
@@ -483,16 +461,17 @@ RunResult run_transfer(const Scenario& sc) {
       if (complete) {
         last_complete = std::max(last_complete, sinks[i]->complete_at());
       }
-      add_receiver_stats(res, rcv_socks[i]->stats());
+      res.per_receiver.push_back(rcv_socks[i]->stats());
       if (rcv_socks[i]->stream_error()) res.any_stream_error = true;
       if (sinks[i]->verify_failed()) res.verify_ok = false;
     } else {
       if (modeled_complete_at[i] >= 0) {
         last_complete = std::max(last_complete, modeled_complete_at[i]);
       }
-      add_receiver_stats(res, modeled_socks[i]->stats());
+      res.per_receiver.push_back(modeled_socks[i]->stats());
       res.modeled_leaves += modeled_socks[i]->population();
     }
+    add_counters(res.receivers_total, res.per_receiver.back());
   }
   res.elapsed = last_complete - sc.sender_start;
   if (res.completed && res.elapsed > 0) {
@@ -540,10 +519,15 @@ RunResult run_transfer(const Scenario& sc) {
   }
   res.rng_digest = sim::digest_mix(digest, source.rng_digest());
 
-  res.sender_nic_tx_drops = topo.sender().nic()->counters().tx_ring_drops;
-  res.router_loss_drops = topo.backbone().counters().loss_drops;
-  for (std::size_t g = 0; g < sc.topo.groups.size(); ++g) {
-    res.router_loss_drops += topo.group_router(g).counters().loss_drops;
+  res.sender_nic = topo.sender_nic().counters();
+  res.sender_nic_tx_queued = topo.sender_nic().tx_queue_len();
+  for (std::size_t i = 0; i < topo.receiver_count(); ++i) {
+    add_counters(res.receiver_nics, topo.receiver_nic(i).counters());
+    res.receiver_nics_tx_queued += topo.receiver_nic(i).tx_queue_len();
+  }
+  res.routers = topo.backbone().counters();
+  for (std::size_t g = 0; g < topo.group_count(); ++g) {
+    add_counters(res.routers, topo.group_router(g).counters());
   }
 
   // Merge the rings by timestamp. stable_sort keeps each domain's

@@ -33,15 +33,17 @@ struct Workload {
   app::DiskConfig disk;
 };
 
-/// Observability knobs for a run. `enabled` attaches one shared
-/// TraceRing to every traced component (sender, receivers, routers,
-/// NICs, fault injector) using the trace.hpp host-id convention;
-/// `sample_period > 0` additionally runs a time-series Sampler over the
-/// live protocol state. Neither changes protocol behaviour: trace
-/// emission is a passive store and the sampler only reads.
+/// Observability knobs for a run. `enabled` gives every engine domain
+/// its own TraceRing (one for a serial run), written by that domain's
+/// traced components (sender, receivers, routers, NICs, fault injector)
+/// under the trace.hpp host-id convention and merged by timestamp after
+/// the run; `sample_period > 0` additionally runs a time-series Sampler
+/// over the live protocol state (serial engine only). Neither changes
+/// protocol behaviour: trace emission is a passive store and the
+/// sampler only reads.
 struct TraceOptions {
   bool enabled = false;
-  std::size_t ring_capacity = 1 << 18;  ///< records (32 B each)
+  std::size_t ring_capacity = 1 << 18;  ///< records per ring (32 B each)
   sim::SimTime sample_period = 0;       ///< 0 = no time series
 };
 
@@ -149,20 +151,24 @@ struct RunResult {
   proto::ReceiverStats receivers_total;  ///< summed over receivers
   std::vector<proto::ReceiverStats> per_receiver;
 
-  std::uint64_t sender_nic_tx_drops = 0;
-  std::uint64_t router_loss_drops = 0;
+  // Network element counters: the sender's NIC, and the receivers' NICs
+  // and all routers (backbone and group routers) each summed field-wise.
+  // The *_tx_queued counts are what those NICs' tx rings still held when
+  // the run stopped: in flight, not lost, for Nic::Counters::tx_conserved.
+  net::Nic::Counters sender_nic;
+  net::Nic::Counters receiver_nics;
+  net::Router::Counters routers;
+  std::uint64_t sender_nic_tx_queued = 0;
+  std::uint64_t receiver_nics_tx_queued = 0;
 
   // Million-receiver scaling metrics.
   std::uint64_t modeled_leaves = 0;       ///< Σ population over modeled slots
-  std::uint64_t member_min_rescans = 0;   ///< shard-minimum cache misses
   std::uint64_t member_min_rescan_work = 0;  ///< members walked by rescans
 
   // Degradation metrics (fault scenarios). A "survivor" is a receiver
   // the fault plan never crashed, or crashed and later restarted.
   int survivor_count = 0;
   int survivors_completed = 0;
-  std::uint64_t evicted_count = 0;  ///< members evicted by the sender
-  sim::SimTime stall_time = 0;      ///< window time blocked past hold
 
   // Memory-pressure robustness (DESIGN.md §16). The mem_* fields are
   // zero unless a kern::MemAccountant was installed (Scenario::mem_budget

@@ -1,4 +1,9 @@
 // Protocol statistics, the raw material of every figure in §5.
+//
+// Each struct is a flat list of 64-bit counters and nothing else: runs
+// compare them whole (operator==) and the harness sums them field-wise
+// without naming a field (harness/scenario.cpp), so a counter added here
+// is compared and folded with no other edit.
 #pragma once
 
 #include <cstdint>
@@ -78,6 +83,8 @@ struct SenderStats {
   std::uint64_t alloc_fails = 0;    ///< payload allocations refused
   std::uint64_t alloc_stalls = 0;   ///< backoff retry timers armed
   std::uint64_t fec_parity_skipped = 0;  ///< parity rows skipped under OOM
+
+  bool operator==(const SenderStats&) const = default;
 };
 
 struct ReceiverStats {
@@ -132,6 +139,8 @@ struct ReceiverStats {
   std::uint64_t ooo_evictions = 0;   ///< reassembly segments evicted (re-NAKed)
   std::uint64_t fec_evictions = 0;   ///< FEC cache entries evicted early
   std::uint64_t repair_cache_evictions = 0;  ///< repairer LRU evictions
+
+  bool operator==(const ReceiverStats&) const = default;
 };
 
 }  // namespace hrmc::proto

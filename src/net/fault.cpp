@@ -237,126 +237,107 @@ void FaultInjector::fire(const FaultEvent& ev) {
   };
   // State-transition events are idempotent: a duplicate crash for an
   // already-down host (or a restart for a live one, a heal for an
-  // unpartitioned router) is a no-op — it applies no state change,
-  // emits no trace mark, and invokes no protocol callback. This keeps
-  // overlapping fault pairs well-defined: without it a redundant
-  // restart would emit a bare kUp that re-arms the receiver in the
-  // release-safety checker while its resync is still in flight.
+  // unpartitioned router) is a no-op — it returns before applying any
+  // state change, emitting a trace mark, invoking a protocol callback or
+  // counting. This keeps overlapping fault pairs well-defined: without
+  // it a redundant restart would emit a bare kUp that re-arms the
+  // receiver in the release-safety checker while its resync is still in
+  // flight.
   switch (ev.kind) {
     case FaultKind::kReceiverCrash:
-      if (topo_->receiver(ev.target).is_down()) break;
+      if (topo_->receiver(ev.target).is_down()) return;
       topo_->receiver(ev.target).set_down(true);
-      ++counters_.crashes;
       mark(trace::receiver_host(ev.target), true);
       if (on_receiver_crash) on_receiver_crash(ev.target);
       break;
     case FaultKind::kReceiverRestart:
-      if (!topo_->receiver(ev.target).is_down()) break;
+      if (!topo_->receiver(ev.target).is_down()) return;
       topo_->receiver(ev.target).set_down(false);
-      ++counters_.restarts;
       mark(trace::receiver_host(ev.target), false);
       if (on_receiver_restart) on_receiver_restart(ev.target);
       break;
     case FaultKind::kLinkDown:
-      if (!topo_->receiver_nic(ev.target).link_up()) break;
+      if (!topo_->receiver_nic(ev.target).link_up()) return;
       topo_->receiver_nic(ev.target).set_link_up(false);
-      ++counters_.link_downs;
       // The receiver behind a dead access link is unreachable: for the
       // release-safety invariant this is indistinguishable from a crash.
       mark(trace::receiver_host(ev.target), true);
       mark(trace::nic_host(1 + ev.target), true);
       break;
     case FaultKind::kLinkUp:
-      if (topo_->receiver_nic(ev.target).link_up()) break;
+      if (topo_->receiver_nic(ev.target).link_up()) return;
       topo_->receiver_nic(ev.target).set_link_up(true);
-      ++counters_.link_ups;
       mark(trace::receiver_host(ev.target), false);
       mark(trace::nic_host(1 + ev.target), false);
       break;
     case FaultKind::kPartition:
-      if (topo_->group_router(ev.target).is_down()) break;
+      if (topo_->group_router(ev.target).is_down()) return;
       topo_->group_router(ev.target).set_down(true);
-      ++counters_.partitions;
       mark(trace::router_host(ev.target), true);
       break;
     case FaultKind::kHeal:
-      if (!topo_->group_router(ev.target).is_down()) break;
+      if (!topo_->group_router(ev.target).is_down()) return;
       topo_->group_router(ev.target).set_down(false);
-      ++counters_.heals;
       mark(trace::router_host(ev.target), false);
       break;
     case FaultKind::kBurstLossStart:
       topo_->group_router(ev.target).set_burst_loss(
           ev.ge, sim::substream_seed(
                      seed_, "fault/ge:router:" + std::to_string(ev.target)));
-      ++counters_.burst_loss_starts;
       break;
     case FaultKind::kBurstLossStop:
       topo_->group_router(ev.target).clear_burst_loss();
-      ++counters_.burst_loss_stops;
       break;
     case FaultKind::kReorderStart: {
       DisturbConfig& d = disturber(ev.target).config();
       d.reorder_prob = ev.disturb.reorder_prob;
       d.reorder_hold = ev.disturb.reorder_hold;
-      ++counters_.reorder_starts;
       break;
     }
     case FaultKind::kReorderStop: {
       DisturbConfig& d = disturber(ev.target).config();
       d.reorder_prob = 0.0;
       d.reorder_hold = 0;
-      ++counters_.reorder_stops;
       break;
     }
     case FaultKind::kDuplicateStart:
       disturber(ev.target).config().dup_prob = ev.disturb.dup_prob;
-      ++counters_.duplicate_starts;
       break;
     case FaultKind::kDuplicateStop:
       disturber(ev.target).config().dup_prob = 0.0;
-      ++counters_.duplicate_stops;
       break;
     case FaultKind::kCorruptStart:
       disturber(ev.target).config().corrupt_prob = ev.disturb.corrupt_prob;
-      ++counters_.corrupt_starts;
       break;
     case FaultKind::kCorruptStop:
       disturber(ev.target).config().corrupt_prob = 0.0;
-      ++counters_.corrupt_stops;
       break;
     case FaultKind::kControlLossStart:
       topo_->group_router(ev.target).set_control_classifier(
           control_classifier);
       disturber(ev.target).config().control_loss_prob =
           ev.disturb.control_loss_prob;
-      ++counters_.control_loss_starts;
       break;
     case FaultKind::kControlLossStop:
       disturber(ev.target).config().control_loss_prob = 0.0;
-      ++counters_.control_loss_stops;
       break;
     case FaultKind::kJitterStart:
       disturber(ev.target).config().jitter = ev.disturb.jitter;
-      ++counters_.jitter_starts;
       break;
     case FaultKind::kJitterStop:
       disturber(ev.target).config().jitter = 0;
-      ++counters_.jitter_stops;
       break;
     case FaultKind::kTrunkDown:
-      if (topo_->group_router(ev.target).is_down()) break;
+      if (topo_->group_router(ev.target).is_down()) return;
       topo_->group_router(ev.target).set_down(true);
-      ++counters_.trunk_downs;
       mark(trace::router_host(ev.target), true);
       break;
     case FaultKind::kTrunkUp:
-      if (!topo_->group_router(ev.target).is_down()) break;
+      if (!topo_->group_router(ev.target).is_down()) return;
       topo_->group_router(ev.target).set_down(false);
       // The trunk is physically back but the router has not recomputed
       // forwarding state yet: black-hole for the reconvergence window.
       topo_->group_router(ev.target).start_reconvergence(ev.delay);
-      ++counters_.trunk_ups;
       mark(trace::router_host(ev.target), false);
       break;
     case FaultKind::kWirelessStart:
@@ -373,32 +354,27 @@ void FaultInjector::fire(const FaultEvent& ev) {
             wl, sim::substream_seed(seed_,
                                     "fault/wl:nic:" + std::to_string(i)));
       }
-      ++counters_.wireless_starts;
       break;
     case FaultKind::kWirelessStop:
       for (std::size_t i = 0; i < topo_->receiver_count(); ++i) {
         if (topo_->receiver_group(i) != ev.target) continue;
         topo_->receiver_nic(i).clear_wireless_loss();
       }
-      ++counters_.wireless_stops;
       break;
     case FaultKind::kMemPressureStart:
       if (mem_ != nullptr) mem_->set_squeeze(ev.mem_fraction);
-      ++counters_.mem_pressure_starts;
       break;
     case FaultKind::kMemPressureStop:
       if (mem_ != nullptr) mem_->set_squeeze(0.0);
-      ++counters_.mem_pressure_stops;
       break;
     case FaultKind::kAllocFailStart:
       if (mem_ != nullptr) mem_->set_alloc_fail_prob(ev.alloc_fail_prob);
-      ++counters_.alloc_fail_starts;
       break;
     case FaultKind::kAllocFailStop:
       if (mem_ != nullptr) mem_->set_alloc_fail_prob(0.0);
-      ++counters_.alloc_fail_stops;
       break;
   }
+  ++counts_[static_cast<std::size_t>(ev.kind)];
 }
 
 Disturber& FaultInjector::disturber(std::size_t group) {

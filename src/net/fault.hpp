@@ -16,6 +16,7 @@
 // bit-identical to runs without an injector at all.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -32,6 +33,8 @@ class MemAccountant;
 
 namespace hrmc::net {
 
+/// Each onset kind is listed right before its recovery kind (an even
+/// value, then the odd one after it); the chaos shrinker pairs them so.
 enum class FaultKind {
   kReceiverCrash,    ///< target receiver's host goes deaf and mute
   kReceiverRestart,  ///< host comes back; protocol layer must rejoin
@@ -71,6 +74,8 @@ enum class FaultKind {
   kAllocFailStart,   ///< GFP_ATOMIC-style Bernoulli allocation failure
   kAllocFailStop,
 };
+inline constexpr std::size_t kFaultKindCount =
+    static_cast<std::size_t>(FaultKind::kAllocFailStop) + 1;
 
 struct FaultEvent {
   FaultKind kind = FaultKind::kReceiverCrash;
@@ -169,38 +174,12 @@ class FaultInjector {
   /// can parse protocol headers); net stays protocol-agnostic.
   ControlClassifier control_classifier = nullptr;
 
-  /// Events applied, by kind. Idempotent transitions (crash, restart,
-  /// link, partition, heal, trunk) count only when they changed state;
-  /// the start/stop kinds count every firing.
-  struct Counters {
-    std::uint64_t crashes = 0;
-    std::uint64_t restarts = 0;
-    std::uint64_t link_downs = 0;
-    std::uint64_t link_ups = 0;
-    std::uint64_t partitions = 0;
-    std::uint64_t heals = 0;
-    std::uint64_t burst_loss_starts = 0;
-    std::uint64_t burst_loss_stops = 0;
-    std::uint64_t reorder_starts = 0;
-    std::uint64_t reorder_stops = 0;
-    std::uint64_t duplicate_starts = 0;
-    std::uint64_t duplicate_stops = 0;
-    std::uint64_t corrupt_starts = 0;
-    std::uint64_t corrupt_stops = 0;
-    std::uint64_t control_loss_starts = 0;
-    std::uint64_t control_loss_stops = 0;
-    std::uint64_t jitter_starts = 0;
-    std::uint64_t jitter_stops = 0;
-    std::uint64_t trunk_downs = 0;
-    std::uint64_t trunk_ups = 0;
-    std::uint64_t wireless_starts = 0;
-    std::uint64_t wireless_stops = 0;
-    std::uint64_t mem_pressure_starts = 0;
-    std::uint64_t mem_pressure_stops = 0;
-    std::uint64_t alloc_fail_starts = 0;
-    std::uint64_t alloc_fail_stops = 0;
-  };
-  [[nodiscard]] const Counters& counters() const { return counters_; }
+  /// Events of kind `k` applied. Idempotent transitions (crash,
+  /// restart, link, partition, heal, trunk) count only when they changed
+  /// state; the start/stop kinds count every firing.
+  [[nodiscard]] std::uint64_t count(FaultKind k) const {
+    return counts_[static_cast<std::size_t>(k)];
+  }
 
   /// Attaches a trace sink; down/up events are emitted on behalf of the
   /// affected entity using the shared host-id convention (receiver i →
@@ -224,7 +203,7 @@ class FaultInjector {
   FaultPlan plan_;
   std::uint64_t seed_;
   bool armed_ = false;
-  Counters counters_;
+  std::array<std::uint64_t, kFaultKindCount> counts_{};
 };
 
 }  // namespace hrmc::net

@@ -110,12 +110,9 @@ class Nic final : public PacketSink {
 
   /// Per-card packet counts. Each direction closes: every packet
   /// offered is passed on, dropped under one named reason, or (tx only)
-  /// still in the ring —
-  ///   tx_offered == tx_packets + tx_link_down_drops + tx_ring_drops
-  ///                 + tx_queue_len()
-  ///   rx_offered == rx_packets + rx_link_down_drops + rx_loss_drops
-  ///                 + burst_loss_drops + wireless_drops + mem_drops
-  ///                 + control_loss_drops
+  /// still in the ring — rx_conserved() and tx_conserved() state the two
+  /// laws. They are linear, so they also hold on a field-wise sum of
+  /// several cards' counters (with their rings' occupancies summed).
   struct Counters {
     std::uint64_t tx_offered = 0;          ///< transmit() calls
     std::uint64_t tx_packets = 0;          ///< started serializing
@@ -135,6 +132,19 @@ class Nic final : public PacketSink {
     std::uint64_t corrupted = 0;           ///< disturbed, still passed on
     std::uint64_t duplicated = 0;          ///< extra copies to the host
     std::uint64_t held = 0;                ///< passed on with extra delay
+
+    bool operator==(const Counters&) const = default;
+
+    [[nodiscard]] bool rx_conserved() const {
+      return rx_offered == rx_packets + rx_link_down_drops + rx_loss_drops +
+                               burst_loss_drops + wireless_drops + mem_drops +
+                               control_loss_drops;
+    }
+    /// `in_ring`: packets still waiting in the tx ring (tx_queue_len()).
+    [[nodiscard]] bool tx_conserved(std::uint64_t in_ring) const {
+      return tx_offered ==
+             tx_packets + tx_link_down_drops + tx_ring_drops + in_ring;
+    }
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
   [[nodiscard]] const std::string& name() const { return name_; }

@@ -107,12 +107,9 @@ class Router final : public PacketSink {
 
   /// Per-router packet counts. Every packet offered (plus every
   /// disturber duplicate) is forwarded once or dropped under one named
-  /// ingress reason, unless a disturber hold still has it —
-  ///   offered + duplicated == forwarded + mcast_forwarded + down_drops
-  ///       + ttl_drops + loss_drops + burst_loss_drops + control_loss_drops
-  ///       + reconverge_drops + no_group_drops + no_route_drops
-  /// queue_drops are per egress port, after fan-out, so they sit outside
-  /// that sum.
+  /// ingress reason, unless a disturber hold still has it — the law
+  /// ingress_conserved() states. queue_drops are per egress port, after
+  /// fan-out, so they sit outside that sum.
   struct Counters {
     std::uint64_t offered = 0;             ///< deliver() calls
     std::uint64_t forwarded = 0;           ///< unicast packets routed
@@ -128,7 +125,21 @@ class Router final : public PacketSink {
     std::uint64_t queue_drops = 0;         ///< egress port queue full
     std::uint64_t corrupted = 0;           ///< disturbed, still forwarded
     std::uint64_t duplicated = 0;          ///< extra copies routed
-    std::uint64_t held = 0;                ///< routed after a disturber hold
+    std::uint64_t held = 0;                ///< disturber holds started
+
+    bool operator==(const Counters&) const = default;
+
+    /// The ingress law. `held` counts a hold when it starts, so up to
+    /// `held` packets may still be waiting in one when the run stops.
+    /// Linear, so it also holds on a field-wise sum of several routers.
+    [[nodiscard]] bool ingress_conserved() const {
+      const std::uint64_t in = offered + duplicated;
+      const std::uint64_t out = forwarded + mcast_forwarded + down_drops +
+                                ttl_drops + loss_drops + burst_loss_drops +
+                                control_loss_drops + reconverge_drops +
+                                no_group_drops + no_route_drops;
+      return out <= in && in - out <= held;
+    }
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
   [[nodiscard]] const std::string& name() const { return name_; }

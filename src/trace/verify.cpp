@@ -1,6 +1,7 @@
 #include "trace/verify.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 
 #include "kern/jiffies.hpp"
@@ -102,15 +103,28 @@ class Verifier {
     }
   }
 
-  // --- receiver bookkeeping shared by invariants 1 and 2 ---
+  // --- receiver bookkeeping shared by invariants 1, 2 and 4 ---
 
   RcvState& rcv(std::uint16_t host) { return receivers_[host]; }
 
-  void note_coverage(const TraceRecord& r, Seq reported) {
+  /// `monotone`: the report is the receiver's own position, which
+  /// invariant 4 holds to its high-water mark.
+  void note_coverage(const TraceRecord& r, Seq reported,
+                     bool monotone = true) {
     RcvState& s = rcv(r.host);
     if (!s.armed) return;  // pre-JOIN feedback cannot arm the gate
+    if (monotone) check_progress(r, "reported position", reported, s.high);
     if (seq_after(reported, s.high)) s.high = reported;
     clear_naks_below(r.host, reported);
+  }
+
+  /// Invariant 4: a position must not fall behind its high-water mark.
+  void check_progress(const TraceRecord& r, const char* what, Seq now,
+                      Seq high) {
+    if (seq_before(now, high)) {
+      violate(r, std::string(what) + " " + std::to_string(now) +
+                     " regressed behind " + std::to_string(high));
+    }
   }
 
   // --- invariant 2 helpers ---
@@ -290,8 +304,10 @@ class Verifier {
         // Aggregated subtree UPDATE: seq_begin is the *minimum* over the
         // represented leaves, so raising the emitter's high-water with it
         // is conservative — release safety is judged against subtree
-        // minima, never against a leaf the aggregate outran.
-        note_coverage(r, r.seq_begin);
+        // minima, never against a leaf the aggregate outran. A minimum
+        // below the emitter's own position is a laggard child, not
+        // drift, so invariant 4 does not apply.
+        note_coverage(r, r.seq_begin, /*monotone=*/false);
         break;
       case EventKind::kNakEmit:
       case EventKind::kNakForward:
@@ -352,7 +368,7 @@ class Verifier {
         break;
       case EventKind::kAllocFail:
       case EventKind::kCacheEvict:
-        // Budget safety (invariant 4): the record's value field is the
+        // Budget safety (invariant 5): the record's value field is the
         // emitting host's ledger live bytes at/after the event.
         if (opt_.check_mem && opt_.mem_budget > 0) {
           ++res_.mem_checked;
@@ -369,6 +385,12 @@ class Verifier {
             std::max(stop_until_, static_cast<sim::SimTime>(r.value));
         break;
       case EventKind::kRelease:
+        // Invariant 4: the sender never re-anchors, so its release head
+        // is monotone across every restart, flap and churn event.
+        if (!release_high_ || seq_after(r.seq_end, *release_high_)) {
+          release_high_ = r.seq_end;
+        }
+        check_progress(r, "release head", r.seq_end, *release_high_);
         if (opt_.check_release) {
           ++res_.releases_checked;
           for (const auto& [host, s] : receivers_) {
@@ -409,6 +431,8 @@ class Verifier {
   std::unordered_map<std::uint16_t, RcvState> receivers_;
   std::unordered_map<std::uint64_t, std::uint16_t> addr_to_host_;
   std::vector<PendingNak> pending_;
+
+  std::optional<Seq> release_high_;  ///< invariant 4, none until a release
 
   bool bucket_primed_ = false;
   double tokens_ = 0;

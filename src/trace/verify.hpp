@@ -1,6 +1,6 @@
 // Trace-based invariant checker: replays a run's trace and asserts the
 // protocol promises the paper states, instead of trusting end-of-run
-// counters. Three invariants:
+// counters. Five invariants, numbered as in tools/check_trace.py:
 //
 //  1. Release safety (§3, "Probe Messages"): the sender never releases
 //     a byte before every armed, live member reported covering it. The
@@ -22,7 +22,16 @@
 //     pacing slack (one jiffy's burst plus carry), and no *new* data is
 //     sent while an urgent stop (kUrgentStop's stop-until) is in force
 //     — the §2 rule 3 contract, and the regression net for the
-//     zero-srtt urgent-stop bug fixed in this PR.
+//     zero-srtt urgent-stop bug.
+//
+//  4. Monotone progress: a receiver's reported position never moves
+//     backwards between re-anchors (kJoined, kResync), and the sender's
+//     release head never moves backwards at all. kAggUpdate carries a
+//     subtree minimum, which may sit below the repairer's own position,
+//     so it only raises the high-water mark and is exempt. Always on.
+//
+//  5. Budget safety (DESIGN.md §16), when VerifyOptions::mem_budget is
+//     set; see check_mem below.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +50,7 @@ struct VerifyOptions {
   bool check_release = true;
   bool check_nak = true;
   bool check_rate = true;
-  /// Invariant 4, budget safety (DESIGN.md §16): every kAllocFail /
+  /// Invariant 5, budget safety (DESIGN.md §16): every kAllocFail /
   /// kCacheEvict record carries the emitting host's ledger live bytes
   /// in its value field; none may exceed mem_budget. The accountant
   /// enforces this by construction (try_charge refuses rather than

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "harness/scenario.hpp"
+#include "same_counters.hpp"
 
 namespace hrmc::harness {
 namespace {
@@ -25,15 +26,6 @@ std::vector<Scenario> small_cells() {
   return cells;
 }
 
-bool same_result(const RunResult& a, const RunResult& b) {
-  return a.completed == b.completed && a.elapsed == b.elapsed &&
-         a.throughput_mbps == b.throughput_mbps &&  // bit-exact, no epsilon
-         a.verify_ok == b.verify_ok &&
-         a.sender.data_packets_sent == b.sender.data_packets_sent &&
-         a.sender.retransmissions == b.sender.retransmissions &&
-         a.receivers_total.naks_sent == b.receivers_total.naks_sent;
-}
-
 TEST(ParallelRunner, MatchesSerialExecutionBitForBit) {
   const std::vector<Scenario> cells = small_cells();
   std::vector<RunResult> serial;
@@ -46,7 +38,14 @@ TEST(ParallelRunner, MatchesSerialExecutionBitForBit) {
 
   ASSERT_EQ(par.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_TRUE(same_result(serial[i], par[i])) << "cell " << i << " diverged";
+    SCOPED_TRACE(testing::Message() << "cell " << i);
+    EXPECT_EQ(serial[i].completed, par[i].completed);
+    EXPECT_EQ(serial[i].verify_ok, par[i].verify_ok);
+    EXPECT_EQ(serial[i].elapsed, par[i].elapsed);
+    EXPECT_EQ(serial[i].throughput_mbps, par[i].throughput_mbps);  // bit-exact
+    EXPECT_EQ(serial[i].events_executed, par[i].events_executed);
+    EXPECT_EQ(serial[i].rng_digest, par[i].rng_digest);
+    expect_same_counters(serial[i], par[i]);
   }
 }
 

@@ -20,6 +20,7 @@
 #include "harness/chaos.hpp"
 #include "harness/scenario.hpp"
 #include "harness/thread_budget.hpp"
+#include "same_counters.hpp"
 
 namespace hrmc::harness {
 namespace {
@@ -51,56 +52,14 @@ void expect_identical(const RunResult& want, const RunResult& have,
   EXPECT_EQ(want.any_stream_error, have.any_stream_error);
   EXPECT_EQ(want.survivor_count, have.survivor_count);
   EXPECT_EQ(want.survivors_completed, have.survivors_completed);
-  EXPECT_EQ(want.evicted_count, have.evicted_count);
-  EXPECT_EQ(want.stall_time, have.stall_time);
   EXPECT_EQ(want.modeled_leaves, have.modeled_leaves);
   EXPECT_EQ(want.mem_peak_bytes, have.mem_peak_bytes);
   EXPECT_EQ(want.mem_alloc_fails, have.mem_alloc_fails);
 
-  // Sender counters.
-  EXPECT_EQ(want.sender.data_packets_sent, have.sender.data_packets_sent);
-  EXPECT_EQ(want.sender.data_bytes_sent, have.sender.data_bytes_sent);
-  EXPECT_EQ(want.sender.retransmissions, have.sender.retransmissions);
-  EXPECT_EQ(want.sender.retrans_bytes, have.sender.retrans_bytes);
-  EXPECT_EQ(want.sender.keepalives_sent, have.sender.keepalives_sent);
-  EXPECT_EQ(want.sender.probes_sent, have.sender.probes_sent);
-  EXPECT_EQ(want.sender.naks_received, have.sender.naks_received);
-  EXPECT_EQ(want.sender.rate_requests_received,
-            have.sender.rate_requests_received);
-  EXPECT_EQ(want.sender.updates_received, have.sender.updates_received);
-  EXPECT_EQ(want.sender.agg_updates_received,
-            have.sender.agg_updates_received);
-  EXPECT_EQ(want.sender.joins_received, have.sender.joins_received);
-  EXPECT_EQ(want.sender.leaves_received, have.sender.leaves_received);
-  EXPECT_EQ(want.sender.members_evicted, have.sender.members_evicted);
-  EXPECT_EQ(want.sender.window_stall_time, have.sender.window_stall_time);
-  EXPECT_EQ(want.sender.fec_packets_sent, have.sender.fec_packets_sent);
-  EXPECT_EQ(want.sender.fec_parity_bytes, have.sender.fec_parity_bytes);
-  EXPECT_EQ(want.sender.fec_parity_rate, have.sender.fec_parity_rate);
-  EXPECT_EQ(want.sender.fec_rate_increases, have.sender.fec_rate_increases);
-  EXPECT_EQ(want.sender.fec_rate_decreases, have.sender.fec_rate_decreases);
-
-  // Per-receiver counters, every slot.
-  ASSERT_EQ(want.per_receiver.size(), have.per_receiver.size());
-  for (std::size_t i = 0; i < want.per_receiver.size(); ++i) {
-    SCOPED_TRACE(testing::Message() << "receiver=" << i);
-    const auto& w = want.per_receiver[i];
-    const auto& h = have.per_receiver[i];
-    EXPECT_EQ(w.data_packets_received, h.data_packets_received);
-    EXPECT_EQ(w.data_bytes_received, h.data_bytes_received);
-    EXPECT_EQ(w.duplicate_packets, h.duplicate_packets);
-    EXPECT_EQ(w.out_of_order_packets, h.out_of_order_packets);
-    EXPECT_EQ(w.naks_sent, h.naks_sent);
-    EXPECT_EQ(w.naks_suppressed, h.naks_suppressed);
-    EXPECT_EQ(w.naks_peer_suppressed, h.naks_peer_suppressed);
-    EXPECT_EQ(w.naks_forwarded, h.naks_forwarded);
-    EXPECT_EQ(w.updates_sent, h.updates_sent);
-    EXPECT_EQ(w.agg_updates_sent, h.agg_updates_sent);
-    EXPECT_EQ(w.repairs_served, h.repairs_served);
-    EXPECT_EQ(w.repair_failovers, h.repair_failovers);
-    EXPECT_EQ(w.bytes_delivered, h.bytes_delivered);
-    EXPECT_EQ(w.stall_rejoins, h.stall_rejoins);
-  }
+  // Every protocol and network counter, whole structs.
+  expect_same_counters(want, have);
+  EXPECT_EQ(want.sender_nic_tx_queued, have.sender_nic_tx_queued);
+  EXPECT_EQ(want.receiver_nics_tx_queued, have.receiver_nics_tx_queued);
 
   // Merged trace streams, byte for byte (TraceRecord is packed 32-byte
   // POD, so memcmp sees every field).

@@ -6,6 +6,7 @@
 
 #include "harness/chaos.hpp"
 #include "harness/scenario.hpp"
+#include "same_counters.hpp"
 
 namespace hrmc::harness {
 namespace {
@@ -91,8 +92,7 @@ TEST(DynamicNetwork, ZeroLossWirelessWindowDoesNotPerturbTiming) {
   ASSERT_TRUE(rb.completed);
   ASSERT_TRUE(ri.completed);
   EXPECT_EQ(rb.elapsed, ri.elapsed);
-  EXPECT_EQ(rb.sender.data_packets_sent, ri.sender.data_packets_sent);
-  EXPECT_EQ(rb.sender.retransmissions, ri.sender.retransmissions);
+  expect_same_counters(rb, ri);
 }
 
 TEST(DynamicNetwork, StalledReceiverRejoinsAfterPathRepair) {

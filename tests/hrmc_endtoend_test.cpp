@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/scenario.hpp"
+#include "same_counters.hpp"
 
 namespace hrmc::harness {
 namespace {
@@ -138,9 +139,9 @@ TEST(EndToEnd, DeterministicAcrossRuns) {
   RunResult a = run_transfer(sc);
   RunResult b = run_transfer(sc);
   EXPECT_EQ(a.elapsed, b.elapsed);
-  EXPECT_EQ(a.sender.data_packets_sent, b.sender.data_packets_sent);
-  EXPECT_EQ(a.sender.retransmissions, b.sender.retransmissions);
-  EXPECT_EQ(a.receivers_total.naks_sent, b.receivers_total.naks_sent);
+  EXPECT_EQ(a.events_executed, b.events_executed);
+  EXPECT_EQ(a.rng_digest, b.rng_digest);
+  expect_same_counters(a, b);
 }
 
 }  // namespace

@@ -190,7 +190,7 @@ TEST(MemPressure, SqueezeWindowEvictsAndRecovers) {
 }
 
 TEST(MemPressure, TraceBudgetInvariantHolds) {
-  // Invariant 4: every kAllocFail / kCacheEvict record carries the
+  // Invariant 5: every kAllocFail / kCacheEvict record carries the
   // emitting host's ledger live bytes, and none may exceed the budget.
   Scenario sc = mem_scenario(2, 128 * 1024, 48 * 1024, 61);
   sc.topo.groups[0].loss_rate = 0.02;

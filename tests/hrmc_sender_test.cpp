@@ -235,6 +235,22 @@ TEST_F(SenderTest, HrmcBlocksReleaseUntilAllMembersConfirm) {
   EXPECT_TRUE(snd_->finished());
 }
 
+TEST_F(SenderTest, StopFoldsOpenStall) {
+  // A run can end mid-stall: stop() closes the open interval, so the
+  // harvested counter equals the accessor, which always included it.
+  make_sender(Config{});  // kStall: waits on receiver 0 forever
+  inject_from(0, PacketType::kJoin, Config::kInitialSeq);
+  offer(1024);
+  snd_->close();
+  run_for(sim::seconds(5));
+  ASSERT_TRUE(snd_->window_stalled());
+  const sim::SimTime open = snd_->window_stall_time();
+  EXPECT_GT(open, snd_->stats().window_stall_time);
+  snd_->stop();
+  EXPECT_EQ(snd_->stats().window_stall_time, snd_->window_stall_time());
+  EXPECT_EQ(snd_->stats().window_stall_time, open);
+}
+
 TEST_F(SenderTest, RmcReleasesWithoutConfirmation) {
   Config cfg;
   cfg.mode = Mode::kRmc;

@@ -90,13 +90,14 @@ TEST(Nic, TxRingExactFillBoundary) {
   nic.transmit(make_packet(100));
   EXPECT_EQ(nic.counters().tx_ring_drops, 1u);
   EXPECT_EQ(nic.tx_free(), 0u);  // full stays full, never underflows
+  EXPECT_TRUE(nic.counters().tx_conserved(nic.tx_queue_len()));
 
   sched.run_until();
   EXPECT_EQ(up.packets.size(), 5u);
   EXPECT_EQ(nic.tx_free(), 4u);
-  // Accounting closes: everything offered either went out or dropped.
-  EXPECT_EQ(nic.counters().tx_offered,
-            nic.counters().tx_packets + nic.counters().tx_ring_drops);
+  // Accounting closes: everything offered either went out or dropped
+  // (and, above, was still in the ring).
+  EXPECT_TRUE(nic.counters().tx_conserved(nic.tx_queue_len()));
 }
 
 TEST(Nic, RxAccountingClosesUnderLoss) {
@@ -123,10 +124,7 @@ TEST(Nic, RxAccountingClosesUnderLoss) {
   EXPECT_GT(c.burst_loss_drops, 0u);
   EXPECT_EQ(c.rx_link_down_drops, 10u);
   EXPECT_EQ(c.rx_offered, 1010u);
-  EXPECT_EQ(c.rx_offered, c.rx_packets + c.rx_link_down_drops +
-                              c.rx_loss_drops + c.burst_loss_drops +
-                              c.wireless_drops + c.mem_drops +
-                              c.control_loss_drops);
+  EXPECT_TRUE(c.rx_conserved());
   EXPECT_EQ(host.packets.size(), c.rx_packets);
 }
 

@@ -241,6 +241,26 @@ TEST(TraceVerify, RetransmissionDuringUrgentStopIsAllowed) {
   EXPECT_TRUE(trace::verify(t).ok);
 }
 
+TEST(TraceVerify, FlagsRegressingPositionAndReleaseHead) {
+  std::vector<TraceRecord> t;
+  t.push_back(rec(0, 1, EventKind::kJoined, 100, 100, 42));
+  t.push_back(rec(1000, 1, EventKind::kUpdate, 300, 300, 0));
+  // A repairer's subtree minimum may trail its own position.
+  t.push_back(rec(1500, 1, EventKind::kAggUpdate, 200, 200, 0));
+  t.push_back(rec(2000, 0, EventKind::kRelease, 100, 300, 0));
+  // No re-anchor, yet the position and the release head move back.
+  t.push_back(rec(3000, 1, EventKind::kUpdate, 200, 200, 0));
+  t.push_back(rec(4000, 0, EventKind::kRelease, 100, 250, 0));
+  // A crash-restart re-anchors the baseline.
+  t.push_back(rec(5000, 1, EventKind::kResync, 150, 150, 0));
+  t.push_back(rec(6000, 1, EventKind::kUpdate, 160, 160, 0));
+  const auto v = trace::verify(t);
+  ASSERT_EQ(v.violations.size(), 2u);
+  EXPECT_NE(v.violations[0].find("position 200 regressed"), std::string::npos);
+  EXPECT_NE(v.violations[1].find("release head 250 regressed"),
+            std::string::npos);
+}
+
 TEST(TraceVerify, OptionsDisableIndividualChecks) {
   std::vector<TraceRecord> t;
   t.push_back(rec(0, 1, EventKind::kJoined, 100, 100, 42));

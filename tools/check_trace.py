@@ -7,9 +7,9 @@ Usage:
                                 [--no-progress] [--mem-budget BYTES]
     check_trace.py trace.jsonl
 
-An independent (stdlib-only) implementation of the same three
-invariants src/trace/verify.cpp checks, over the JSONL stream
-trace_dump (or trace::write_jsonl) emits:
+An independent (stdlib-only) implementation of the same five
+invariants src/trace/verify.cpp checks, numbered the same way, over the
+JSONL stream trace_dump (or trace::write_jsonl) emits:
 
   1. Release safety: the sender never releases a byte some armed,
      live receiver has not reported holding.
@@ -19,7 +19,7 @@ trace_dump (or trace::write_jsonl) emits:
   3. Rate conformance: a token bucket fed at the advertised rate never
      goes negative past the pacing slack, and no new data is sent
      while an urgent stop is in force.
-  4. Counter monotonicity: a receiver's reported stream position only
+  4. Monotone progress: a receiver's reported stream position only
      moves forward between re-anchors (a "resync" after crash-restart
      resets the baseline; link flaps and stall re-JOINs do not), and
      the sender's release head never regresses at all.  Regression on
