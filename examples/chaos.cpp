@@ -1,10 +1,12 @@
 // Chaos sweep / replay driver (DESIGN.md §11, EXPERIMENTS.md).
 //
 //   chaos --seeds N [--start S] [--threads T] [--repro-dir DIR]
-//         [--no-shrink] [--shrink-budget R]
+//         [--no-shrink] [--shrink-budget R] [--mem]
 //       Runs N seeded random adversarial scenarios through the
 //       reliability oracle. On failure, shrinks each failing scenario
-//       and writes a self-contained repro file; exits nonzero.
+//       and writes a self-contained repro file; exits nonzero. --mem
+//       generates the scenarios with generate_mem_spec (a per-host
+//       memory budget plus squeeze and alloc-fail windows).
 //
 //   chaos --replay FILE
 //       Re-executes a repro file's scenario (bit-identical to the run

@@ -18,10 +18,7 @@ SourceApp::SourceApp(proto::HrmcSender& sock, sim::Scheduler& sched,
   sock_.on_writable = [this] { pump(); };
 }
 
-void SourceApp::start() {
-  started_at_ = sched_.now();
-  fetch_chunk();
-}
+void SourceApp::start() { fetch_chunk(); }
 
 void SourceApp::fetch_chunk() {
   if (closed_ || fetching_) return;

@@ -35,8 +35,6 @@ class SourceApp {
   void start();
 
   [[nodiscard]] bool done() const { return closed_; }
-  [[nodiscard]] std::uint64_t bytes_offered() const { return offered_; }
-  [[nodiscard]] sim::SimTime started_at() const { return started_at_; }
 
   /// Disk-jitter RNG end-state (a fixed constant when no disk is
   /// attached, so memory-to-memory digests stay comparable).
@@ -59,7 +57,6 @@ class SourceApp {
   std::uint64_t offered_ = 0;   ///< stream bytes accepted by the socket
   bool fetching_ = false;
   bool closed_ = false;
-  sim::SimTime started_at_ = 0;
 };
 
 /// Receiving application: drains an HrmcReceiver, verifying the pattern.

@@ -22,8 +22,8 @@
 // under adversarial conditions: every receiver expected to survive
 // delivers the full byte stream in order, the sender terminates within
 // the scenario deadline (no window-stall deadlock), no receiver
-// observes a stream error, and the run's trace passes trace::verify
-// with zero violations.
+// observes a stream error, and the run's complete trace passes
+// trace::verify with zero violations.
 //
 // Scenario generation is *survivable by construction*: every crash is
 // paired with a restart, every link-down with a link-up, every
@@ -125,10 +125,12 @@ ChaosSpec generate_soak_spec(std::uint64_t seed);
 ChaosSpec generate_mem_spec(std::uint64_t seed);
 
 /// Pure mapping onto the experiment harness. Trace capture is enabled
-/// (the oracle needs it for trace::verify).
+/// (the oracle needs it for trace::verify), with a ring of 2^22 records
+/// per engine domain.
 Scenario to_scenario(const ChaosSpec& spec);
 
-/// Applies the reliability oracle to a finished run.
+/// Applies the reliability oracle to a finished run. A run whose trace
+/// ring wrapped fails: its invariants cannot be checked.
 ChaosVerdict judge_result(const ChaosSpec& spec, const RunResult& res);
 
 /// Runs the spec's scenario and judges it. Exceptions from the

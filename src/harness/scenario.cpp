@@ -24,6 +24,8 @@ namespace {
 
 constexpr net::Addr kGroupAddr = net::make_addr(224, 5, 5, 5);
 constexpr net::Port kGroupPort = 7500;
+/// Sender start offset; receivers open (and JOIN) at t = 0.
+constexpr sim::SimTime kSenderStart = sim::milliseconds(100);
 
 /// Control-plane classifier for chaos control-loss faults: everything
 /// except the payload-bearing types (DATA, FEC) is control. Undecodable
@@ -250,19 +252,10 @@ RunResult run_transfer(const Scenario& sc) {
   // subtree — the whole stream can be released past a healthy child
   // that was simply wired to a parent the scenario hadn't born yet.
   if (sc.hierarchy.enabled) {
-    if (!sc.hierarchy.repairers.empty()) {
-      for (std::size_t r : sc.hierarchy.repairers) {
-        if (r >= topo.receiver_count() || modeled_of[r] || join_at[r] >= 0) {
-          continue;
-        }
-        repairer_of_group[topo.receiver_group(r)] = r;
-      }
-    } else {
-      for (std::size_t i = 0; i < topo.receiver_count(); ++i) {
-        if (modeled_of[i] || join_at[i] >= 0) continue;
-        std::size_t& slot = repairer_of_group[topo.receiver_group(i)];
-        if (slot == topo.receiver_count()) slot = i;
-      }
+    for (std::size_t i = 0; i < topo.receiver_count(); ++i) {
+      if (modeled_of[i] || join_at[i] >= 0) continue;
+      std::size_t& slot = repairer_of_group[topo.receiver_group(i)];
+      if (slot == topo.receiver_count()) slot = i;
     }
   }
 
@@ -306,7 +299,7 @@ RunResult run_transfer(const Scenario& sc) {
     opt.chunk = sc.workload.chunk;
     opt.read_rate_bps = sc.workload.sink_read_rate_bps;
     opt.verify = !crashed_ever[i] && join_at[i] < 0;
-    if (sc.workload.disk_sink) opt.disk = sc.workload.disk;
+    if (sc.workload.disk_sink) opt.disk = app::DiskConfig{};
     opt.seed = sim::substream_seed(sc.seed, "sink:" + std::to_string(i));
     sinks.push_back(std::make_unique<app::SinkApp>(*sock, dsched, opt));
     proto::HrmcReceiver* raw = sock.get();
@@ -361,11 +354,11 @@ RunResult run_transfer(const Scenario& sc) {
   app::SourceApp::Options sopt;
   sopt.total_bytes = sc.workload.file_bytes;
   sopt.chunk = sc.workload.chunk;
-  if (sc.workload.disk_source) sopt.disk = sc.workload.disk;
+  if (sc.workload.disk_source) sopt.disk = app::DiskConfig{};
   sopt.seed = sim::substream_seed(sc.seed, "source");
   app::SourceApp source(snd, sched0, sopt);
 
-  sched0.schedule_at(sc.sender_start, [&source] { source.start(); });
+  sched0.schedule_at(kSenderStart, [&source] { source.start(); });
 
   const auto slot_complete = [&](std::size_t i) {
     return sinks[i] ? sinks[i]->stream_complete()
@@ -449,7 +442,7 @@ RunResult run_transfer(const Scenario& sc) {
   res.sender_finished = snd.finished();
   res.sender = snd.stats();
   res.member_min_rescan_work = snd.members().min_rescan_work();
-  sim::SimTime last_complete = sc.sender_start;
+  sim::SimTime last_complete = kSenderStart;
   for (std::size_t i = 0; i < sinks.size(); ++i) {
     const bool complete = slot_complete(i);
     res.completed = res.completed && complete;
@@ -473,7 +466,7 @@ RunResult run_transfer(const Scenario& sc) {
     }
     add_counters(res.receivers_total, res.per_receiver.back());
   }
-  res.elapsed = last_complete - sc.sender_start;
+  res.elapsed = last_complete - kSenderStart;
   if (res.completed && res.elapsed > 0) {
     res.throughput_mbps = static_cast<double>(sc.workload.file_bytes) * 8.0 /
                           sim::to_seconds(res.elapsed) / 1e6;

@@ -30,7 +30,6 @@ struct Workload {
   /// the network (§5.2) — 64 Mbps reproduces the 100 Mbps-era mismatch.
   double sink_read_rate_bps = 0.0;
   std::size_t chunk = 64 * 1024;
-  app::DiskConfig disk;
 };
 
 /// Observability knobs for a run. `enabled` gives every engine domain
@@ -62,12 +61,11 @@ struct ChurnEvent {
 /// one receiver per router subtree as the local repairer. Its siblings
 /// send feedback to it instead of the sender; it answers their NAKs
 /// from a local packet cache and collapses their UPDATEs into one
-/// AGG_UPDATE per subtree.
+/// AGG_UPDATE per subtree. The repairer is the first receiver of each
+/// topology group that is neither modeled nor a late joiner; its
+/// group-mates become its children.
 struct HierarchyOptions {
   bool enabled = false;
-  /// Explicit repairer slots. Empty = the first receiver of each
-  /// topology group (its group-mates become its children).
-  std::vector<std::size_t> repairers;
 };
 
 /// Replace one receiver slot with a ModeledReceiver: a statistical
@@ -106,8 +104,6 @@ struct Scenario {
   proto::Config proto;
   Workload workload;
   sim::SimTime time_limit = sim::seconds(3600);
-  /// Sender start offset; receivers open (and JOIN) at t = 0.
-  sim::SimTime sender_start = sim::milliseconds(100);
   std::uint64_t seed = 1;
   /// Injected failures (crashes, flaps, partitions, burst loss,
   /// trunk flaps, wireless fades). Empty by default; an empty plan adds

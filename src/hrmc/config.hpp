@@ -1,4 +1,4 @@
-// Protocol tuning knobs.
+// Protocol constants and tuning knobs.
 //
 // Defaults reproduce the configuration described in the paper; the
 // constants the paper does not pin down are documented in DESIGN.md §5.
@@ -37,6 +37,79 @@ enum class EvictionPolicy {
   kRmcFallback,
 };
 
+// --- Fixed protocol constants (no run varies them; DESIGN.md §5) ---
+
+/// Receive-window headroom horizon for warning-region rate requests
+/// (paper: 4 RTTs).
+inline constexpr int kWarnbufRtts = 4;
+
+/// Receive-window occupancy fractions where the warning / critical
+/// regions begin (paper defines the regions, not the fractions).
+inline constexpr double kWarnFraction = 0.50;
+inline constexpr double kCritFraction = 0.90;
+
+/// Forward transmission halts for this many RTTs after an URG rate
+/// request (paper §2).
+inline constexpr int kUrgentStopRtts = 2;
+
+/// Initial update period (paper: 50 jiffies = 0.5 s).
+inline constexpr kern::Jiffies kUpdatePeriodInit = 50;
+/// Dynamic update-period bounds (paper: ±1 jiffy per period, linear).
+inline constexpr kern::Jiffies kUpdatePeriodMin = 2;
+inline constexpr kern::Jiffies kUpdatePeriodMax = 200;
+
+/// Keepalive: exponential backoff from 2 jiffies up to 2 s (paper caps
+/// at 2 s).
+inline constexpr kern::Jiffies kKeepaliveInit = 2;
+inline constexpr kern::Jiffies kKeepaliveMax = 200;
+
+/// Initial RTT estimate. One jiffy: optimistic, so the first
+/// buffer-release attempts happen early and the resulting PROBE
+/// responses seed the estimator with real samples (a pessimistic initial
+/// value never gets corrected on a loss-free network, freezing the
+/// protocol in 10×100 ms holds).
+inline constexpr sim::SimTime kInitialRtt = sim::milliseconds(10);
+inline constexpr sim::SimTime kMinRttClamp = sim::microseconds(200);
+
+/// Sender collapses duplicate retransmission requests arriving within
+/// this fraction of an RTT of a prior retransmission of the same data.
+inline constexpr double kRetransDedupRtts = 0.5;
+/// Rate is halved at most once per RTT regardless of how many NAKs /
+/// warnings arrive within it (standard multiplicative-decrease rule).
+inline constexpr double kRateCutHoldoffRtts = 1.0;
+
+/// Minimum spacing between PROBEs to the same receiver.
+inline constexpr double kProbeIntervalRtts = 1.0;
+/// Cap on the probe-backoff exponent (bounds both the spacing and pow()).
+inline constexpr int kProbeBackoffCap = 6;
+
+/// Local-repairer payload cache, in packets (most recently received
+/// DATA payloads kept for answering child NAKs). Bounds repairer
+/// memory; older losses fall through to the sender as forwarded NAKs.
+inline constexpr std::size_t kRepairCachePackets = 256;
+/// A registered child silent for this long is dropped from the
+/// repairer's aggregate (its leaves stop counting toward the subtree
+/// multiplicity; the sender's own tombstone machinery handles the
+/// membership record).
+inline constexpr sim::SimTime kRepairChildTimeout = sim::seconds(5);
+/// Child-side failover: after this many NAK re-sends of the same range
+/// without progress through the repairer, the child re-homes to the
+/// sender (and re-JOINs there). Guards against a crashed repairer.
+inline constexpr int kRepairFailoverNaks = 3;
+
+/// Consecutive quiet FEC adaptation epochs before the parity rate steps
+/// down.
+inline constexpr int kFecHysteresisEpochs = 2;
+
+/// Sender alloc-retry backoff (memory-pressure robustness, DESIGN.md
+/// §16): after a refused payload allocation the sender re-kicks the
+/// application from a timer whose period doubles from kAllocRetryInit
+/// up to kAllocRetryMax jiffies, resetting on the first successful
+/// allocation (capped exponential backoff, like the kernel's
+/// __GFP_RETRY paths).
+inline constexpr kern::Jiffies kAllocRetryInit = 1;
+inline constexpr kern::Jiffies kAllocRetryMax = 64;
+
 struct Config {
   Mode mode = Mode::kHrmc;
 
@@ -53,15 +126,6 @@ struct Config {
   /// recent transmission before it may be released (paper: 10).
   int minbuf_rtts = 10;
 
-  /// Receive-window headroom horizon for warning-region rate requests
-  /// (paper: 4 RTTs).
-  int warnbuf_rtts = 4;
-
-  /// Receive-window occupancy fractions where the warning / critical
-  /// regions begin (paper defines the regions, not the fractions).
-  double warn_fraction = 0.50;
-  double crit_fraction = 0.90;
-
   // --- Rate-based flow control ---
   /// Floor / restart transmission rate in bytes per second.
   std::uint32_t min_rate = 16 * 1024;
@@ -69,47 +133,18 @@ struct Config {
   /// link: the paper's sender is capped by buffers and feedback, not by
   /// knowledge of link speed (this is what exposes NIC drops in Fig 13).
   std::uint32_t max_rate = 125'000'000;
-  /// Jiffies between urgent-stop resumption checks; forward transmission
-  /// halts for 2 RTTs after an URG rate request (paper §2).
-  int urgent_stop_rtts = 2;
 
   // --- Timers ---
-  /// Initial update period (paper: 50 jiffies = 0.5 s).
-  kern::Jiffies update_period_init = 50;
-  /// Dynamic update-period bounds (paper: ±1 jiffy per period, linear).
-  kern::Jiffies update_period_min = 2;
-  kern::Jiffies update_period_max = 200;
   /// Fixed update period when false (the paper's "original design").
   bool dynamic_update_timer = true;
-
-  /// Keepalive: exponential backoff from 2 jiffies up to 2 s (paper caps
-  /// at 2 s).
-  kern::Jiffies keepalive_init = 2;
-  kern::Jiffies keepalive_max = 200;
-
-  // --- RTT estimation ---
-  /// One jiffy: optimistic, so the first buffer-release attempts happen
-  /// early and the resulting PROBE responses seed the estimator with
-  /// real samples (a pessimistic initial value never gets corrected on a
-  /// loss-free network, freezing the protocol in 10×100 ms holds).
-  sim::SimTime initial_rtt = sim::milliseconds(10);
-  sim::SimTime min_rtt_clamp = sim::microseconds(200);
 
   // --- NAK handling ---
   /// Receiver NAK suppression: a pending NAK is not re-sent until this
   /// many RTTs have elapsed (documented choice; paper says "appropriate
   /// intervals").
   double nak_resend_rtts = 1.5;
-  /// Sender collapses duplicate retransmission requests arriving within
-  /// this fraction of an RTT of a prior retransmission of the same data.
-  double retrans_dedup_rtts = 0.5;
-  /// Rate is halved at most once per RTT regardless of how many NAKs /
-  /// warnings arrive within it (standard multiplicative-decrease rule).
-  double rate_cut_holdoff_rtts = 1.0;
 
   // --- Probing ---
-  /// Minimum spacing between PROBEs to the same receiver.
-  double probe_interval_rtts = 1.0;
   /// Cap on unicast PROBEs emitted per release attempt (one scheduler
   /// event). A cold 10k-member table owes 10k probes; without the cap
   /// they leave as one 10k-packet burst in a single jiffy. Deferred
@@ -127,8 +162,6 @@ struct Config {
   /// which is exactly the pre-extension behavior (the default, so
   /// fault-free runs are unchanged); 2.0 = classic exponential backoff.
   double probe_backoff = 1.0;
-  /// Cap on the backoff exponent (bounds both the spacing and pow()).
-  int probe_backoff_cap = 6;
 
   // --- Dynamic-network resilience (robustness extension; off by default,
   // so fault-free runs are bit-identical to the unextended protocol) ---
@@ -160,23 +193,10 @@ struct Config {
   /// and the receiver address, so runs stay deterministic).
   std::uint64_t feedback_seed = 0;
 
-  /// Local-repairer payload cache, in packets (most recently received
-  /// DATA payloads kept for answering child NAKs). Bounds repairer
-  /// memory; older losses fall through to the sender as forwarded NAKs.
-  std::size_t repair_cache_packets = 256;
-  /// Byte bound on the same cache, applied alongside the packet bound
-  /// (LRU eviction from the front). 0 = packet bound only (the default,
-  /// so existing runs are unchanged).
+  /// Byte bound on the local-repairer payload cache, applied alongside
+  /// kRepairCachePackets (LRU eviction from the front). 0 = packet bound
+  /// only (the default, so existing runs are unchanged).
   std::size_t repair_cache_bytes = 0;
-  /// A registered child silent for this long is dropped from the
-  /// repairer's aggregate (its leaves stop counting toward the subtree
-  /// multiplicity; the sender's own tombstone machinery handles the
-  /// membership record).
-  sim::SimTime repair_child_timeout = sim::seconds(5);
-  /// Child-side failover: after this many NAK re-sends of the same range
-  /// without progress through the repairer, the child re-homes to the
-  /// sender (and re-JOINs there). Guards against a crashed repairer.
-  int repair_failover_naks = 3;
 
   // --- Optional extensions (§6 future work; off by default) ---
   /// (1) Early probes: probe receivers when a packet is within this many
@@ -209,21 +229,9 @@ struct Config {
   /// parity rate from the loss it observes on the feedback channel
   /// (NAK volume per data packet, plus AGG_UPDATE subtree-minimum lag).
   /// Moves are damped to one step per epoch, and decreases additionally
-  /// wait fec_hysteresis_epochs of consecutive under-target epochs.
+  /// wait kFecHysteresisEpochs of consecutive under-target epochs.
   /// 0 disables adaptation (fixed r = fec_parity_min).
   sim::SimTime fec_adapt_interval = 0;
-  /// Consecutive quiet epochs before the parity rate steps down.
-  int fec_hysteresis_epochs = 2;
-
-  // --- Memory-pressure robustness (off unless the harness installs a
-  // kern::MemAccountant on the host; see DESIGN.md §16) ---
-  /// Sender alloc-retry backoff: after a refused payload allocation the
-  /// sender re-kicks the application from a timer whose period doubles
-  /// from alloc_retry_init up to alloc_retry_max jiffies, resetting on
-  /// the first successful allocation (capped exponential backoff, like
-  /// the kernel's __GFP_RETRY paths).
-  kern::Jiffies alloc_retry_init = 1;
-  kern::Jiffies alloc_retry_max = 64;
 
   /// Initial sequence number of every stream (both endpoints assume it;
   /// a production protocol would carry it in JOIN_RESPONSE). Configurable

@@ -61,7 +61,7 @@ Seq ModeledReceiver::population_min() const {
 sim::SimTime ModeledReceiver::nak_interval() const {
   return std::max<sim::SimTime>(
       static_cast<sim::SimTime>(cfg_.nak_resend_rtts *
-                                static_cast<double>(cfg_.initial_rtt)),
+                                static_cast<double>(kInitialRtt)),
       2 * kern::kJiffy);
 }
 
@@ -125,7 +125,7 @@ void ModeledReceiver::rx(kern::SkBuffPtr skb) {
         trace_.emit(trace::EventKind::kJoined, baseline_, baseline_,
                     host_.addr());
         if (cfg_.mode == Mode::kHrmc) {
-          update_timer_.mod_timer_in(cfg_.update_period_init);
+          update_timer_.mod_timer_in(kUpdatePeriodInit);
         }
         maybe_complete();
       }
@@ -163,7 +163,7 @@ void ModeledReceiver::process_data(const Header& h) {
     if (!join_sent_ && sender_addr_ != 0) send_join();
   } else if (!joined_ && sender_addr_ != 0 &&
              host_.scheduler().now() - join_sent_at_ >=
-                 2 * cfg_.initial_rtt) {
+                 2 * kInitialRtt) {
     stats_.join_fast_retries++;
     send_join();  // lost JOIN / response: data flowing proves the path
   }
@@ -418,7 +418,7 @@ void ModeledReceiver::nak_timer_fire() {
 
 void ModeledReceiver::update_timer_fire() {
   send_aggregate(/*solicited=*/false);
-  update_timer_.mod_timer_in(cfg_.update_period_init);
+  update_timer_.mod_timer_in(kUpdatePeriodInit);
 }
 
 void ModeledReceiver::emit(PacketType type, Seq seq, std::uint32_t rate,

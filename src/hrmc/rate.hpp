@@ -100,7 +100,7 @@ class RateController {
     // must bite even without an RTT estimate: clamp to one jiffy, the
     // finest interval the transmit pump observes.
     const sim::SimTime stop_len = std::max<sim::SimTime>(
-        static_cast<sim::SimTime>(cfg_->urgent_stop_rtts * srtt),
+        static_cast<sim::SimTime>(kUrgentStopRtts * srtt),
         kern::kJiffy);
     stop_until_ = std::max(stop_until_, now + stop_len);
     ssthresh_ = std::max(rate_ / 2, cfg_->min_rate);

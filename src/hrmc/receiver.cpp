@@ -39,11 +39,11 @@ HrmcReceiver::HrmcReceiver(net::Host& host, const Config& cfg,
       cfg_(cfg),
       group_(group),
       sender_addr_(sender_hint),
-      rtt_(cfg.initial_rtt, cfg.min_rtt_clamp),
+      rtt_(kInitialRtt, kMinRttClamp),
       nak_timer_(host.scheduler(), [this] { nak_timer_fire(); }),
       update_timer_(host.scheduler(), [this] { update_timer_fire(); }),
       join_timer_(host.scheduler(), [this] { join_timer_fire(); }),
-      update_period_(cfg.update_period_init),
+      update_period_(kUpdatePeriodInit),
       feedback_rng_(sim::substream_seed(
           sim::substream_seed(cfg.feedback_seed, "nak-backoff"),
           std::to_string(host.addr()))) {
@@ -164,7 +164,7 @@ void HrmcReceiver::restart() {
   if (!crashed_) return;
   crashed_ = false;
   resync_pending_ = true;
-  update_period_ = cfg_.update_period_init;
+  update_period_ = kUpdatePeriodInit;
   probe_seen_this_period_ = false;
   // Multicast subscription: the crash never sent an IGMP leave, so the
   // router kept forwarding; re-join is idempotent but covers a restart
@@ -590,9 +590,9 @@ void HrmcReceiver::after_stream_advance() {
 void HrmcReceiver::check_flow_control(std::uint32_t advertised_rate) {
   const double occ = static_cast<double>(occupancy());
   const double buf = static_cast<double>(cfg_.rcvbuf);
-  const int region = occ < cfg_.warn_fraction * buf   ? 0
-                     : occ < cfg_.crit_fraction * buf ? 1
-                                                      : 2;
+  const int region = occ < kWarnFraction * buf   ? 0
+                     : occ < kCritFraction * buf ? 1
+                                                 : 2;
   if (region != fc_region_) {
     trace_.emit(trace::EventKind::kRegion, rcv_nxt_, rcv_nxt_,
                 static_cast<std::uint64_t>(region),
@@ -608,10 +608,10 @@ void HrmcReceiver::check_flow_control(std::uint32_t advertised_rate) {
     // Rule 2: warning region. Request a lower rate if what the sender
     // may emit over the next WARNBUF RTTs exceeds the remaining space.
     const double incoming =
-        static_cast<double>(advertised_rate) * cfg_.warnbuf_rtts * rtt_s;
+        static_cast<double>(advertised_rate) * kWarnbufRtts * rtt_s;
     if (incoming > empty) {
       const double suggested =
-          empty / (static_cast<double>(cfg_.warnbuf_rtts) *
+          empty / (static_cast<double>(kWarnbufRtts) *
                    std::max(rtt_s, 1e-6));
       send_control(static_cast<std::uint32_t>(
                        std::max(suggested, 1.0)),
@@ -1031,7 +1031,7 @@ void HrmcReceiver::send_nak(const NakRange& r) {
   // Re-home all feedback to the sender and re-register there; sticky
   // until crash-restart, so a flapping parent cannot bounce us.
   if (repair_parent_ != 0 && !repair_failed_over_ && sender_addr_ != 0 &&
-      r.sends > cfg_.repair_failover_naks) {
+      r.sends > kRepairFailoverNaks) {
     repair_failed_over_ = true;
     stats_.repair_failovers++;
     send_join();
@@ -1091,7 +1091,7 @@ void HrmcReceiver::send_join() {
   // its releases on nobody, runs the whole stream past us.
   if (join_state_ == JoinState::kJoining && repair_parent_ != 0 &&
       !repair_failed_over_ && sender_addr_ != 0 &&
-      join_tries_ >= cfg_.repair_failover_naks) {
+      join_tries_ >= kRepairFailoverNaks) {
     repair_failed_over_ = true;
     stats_.repair_failovers++;
   }
@@ -1230,10 +1230,10 @@ void HrmcReceiver::update_timer_fire() {
     // information — speed up; silence means updates suffice — back off.
     const kern::Jiffies before = update_period_;
     if (probe_seen_this_period_) {
-      update_period_ = std::max<kern::Jiffies>(cfg_.update_period_min,
+      update_period_ = std::max<kern::Jiffies>(kUpdatePeriodMin,
                                                update_period_ - 1);
     } else {
-      update_period_ = std::min<kern::Jiffies>(cfg_.update_period_max,
+      update_period_ = std::min<kern::Jiffies>(kUpdatePeriodMax,
                                                update_period_ + 1);
     }
     if (update_period_ != before) {

@@ -152,7 +152,7 @@ class HrmcReceiver final : public net::Transport {
   /// Re-homes this receiver's feedback (JOIN, UPDATE, NAK, CONTROL,
   /// LEAVE) to a local repairer instead of the sender. Data still
   /// arrives via multicast. If the repairer stops making progress the
-  /// receiver fails over to the sender (Config::repair_failover_naks).
+  /// receiver fails over to the sender (kRepairFailoverNaks).
   void set_repair_parent(net::Addr parent);
   [[nodiscard]] net::Addr repair_parent() const { return repair_parent_; }
 

@@ -39,9 +39,8 @@ void RepairAgent::touch_child(net::Addr from, Seq seq, std::uint32_t mult,
 
 void RepairAgent::expire_children(sim::SimTime now) {
   if (owner_.cfg_.eviction_policy == EvictionPolicy::kStall) return;
-  if (owner_.cfg_.repair_child_timeout <= 0) return;
   for (auto it = children_.begin(); it != children_.end();) {
-    if (now - it->second.last_heard > owner_.cfg_.repair_child_timeout) {
+    if (now - it->second.last_heard > kRepairChildTimeout) {
       it = children_.erase(it);
     } else {
       ++it;
@@ -120,7 +119,7 @@ void RepairAgent::handle_control(const Header& h, net::Addr from) {
 // --------------------------------------------------------------------
 
 void RepairAgent::cache_data(const Header& h, const kern::SkBuffPtr& skb) {
-  if (owner_.cfg_.repair_cache_packets == 0 || h.length == 0) return;
+  if (h.length == 0) return;
   const Seq begin = h.seq;
   // Arrival ~= sequence order: a new packet almost always sorts after
   // the newest cached one, so the duplicate check is O(1) in the common
@@ -140,7 +139,7 @@ void RepairAgent::cache_data(const Header& h, const kern::SkBuffPtr& skb) {
   cache_.push_back(
       CacheEntry{begin, begin + h.length, h.fin, skb->clone()});
   cache_bytes_ += h.length;
-  while (cache_.size() > owner_.cfg_.repair_cache_packets) {
+  while (cache_.size() > kRepairCachePackets) {
     evict_front(/*traced=*/false);
   }
   const std::size_t byte_cap = owner_.cfg_.repair_cache_bytes;

@@ -27,14 +27,14 @@ HrmcSender::HrmcSender(net::Host& host, const Config& cfg,
       local_port_(local_port),
       group_(group),
       rate_(cfg_),
-      rtt_(cfg_.initial_rtt, cfg_.min_rtt_clamp),
+      rtt_(kInitialRtt, kMinRttClamp),
       transmit_timer_(host.scheduler(), [this] { transmit_pump(); }),
       retrans_timer_(host.scheduler(), [this] { transmit_pump(); }),
       ka_timer_(host.scheduler(), [this] { keepalive_fire(); }),
       join_batch_timer_(host.scheduler(), [this] { join_batch_flush(); }),
       fec_adapt_timer_(host.scheduler(), [this] { fec_adapt_fire(); }),
       alloc_retry_timer_(host.scheduler(), [this] { alloc_retry_fire(); }),
-      ka_period_(cfg.keepalive_init),
+      ka_period_(kKeepaliveInit),
       last_forward_send_(host.scheduler().now()) {
   snd_wnd_ = snd_nxt_ = snd_sent_ = cfg_.initial_seq;
   host_.register_transport(kIpProtoHrmc, this);
@@ -141,9 +141,8 @@ bool HrmcSender::charge_send_window() {
   if (!alloc_retry_timer_.pending()) {
     alloc_retry_period_ =
         alloc_retry_period_ == 0
-            ? cfg_.alloc_retry_init
-            : std::min<kern::Jiffies>(alloc_retry_period_ * 2,
-                                      cfg_.alloc_retry_max);
+            ? kAllocRetryInit
+            : std::min<kern::Jiffies>(alloc_retry_period_ * 2, kAllocRetryMax);
     alloc_retry_timer_.mod_timer_in(alloc_retry_period_);
     stats_.alloc_stalls++;
   }
@@ -403,14 +402,14 @@ void HrmcSender::fec_adapt_fire() {
   target = std::clamp(target, r_min, r_max);
 
   // Damped moves: one step per epoch; decreases additionally wait for
-  // fec_hysteresis_epochs of consecutive under-target epochs so one
+  // kFecHysteresisEpochs of consecutive under-target epochs so one
   // quiet epoch inside a loss burst does not shed the protection.
   if (target > fec_rate_r_) {
     ++fec_rate_r_;
     fec_low_epochs_ = 0;
     stats_.fec_rate_increases++;
   } else if (target < fec_rate_r_) {
-    if (++fec_low_epochs_ >= std::max(1, cfg_.fec_hysteresis_epochs)) {
+    if (++fec_low_epochs_ >= kFecHysteresisEpochs) {
       --fec_rate_r_;
       fec_low_epochs_ = 0;
       stats_.fec_rate_decreases++;
@@ -425,7 +424,7 @@ void HrmcSender::fec_adapt_fire() {
 std::uint64_t HrmcSender::service_retransmissions(std::uint64_t budget) {
   const sim::SimTime now = host_.scheduler().now();
   const sim::SimTime dedup = static_cast<sim::SimTime>(
-      cfg_.retrans_dedup_rtts * static_cast<double>(rtt_.srtt()));
+      kRetransDedupRtts * static_cast<double>(rtt_.srtt()));
 
   std::vector<RetransRange> remaining;
   bool out_of_budget = false;
@@ -574,11 +573,11 @@ sim::SimTime HrmcSender::probe_spacing(const McMember& m) const {
   // possibly have been answered yet, and with many receivers the storm
   // of control packets starves the data path at the device queue.
   const sim::SimTime base = std::max<sim::SimTime>(
-      static_cast<sim::SimTime>(cfg_.probe_interval_rtts *
+      static_cast<sim::SimTime>(kProbeIntervalRtts *
                                 static_cast<double>(rtt_.srtt())),
       kern::kJiffy);
   if (cfg_.probe_backoff <= 1.0 || m.probe_retries == 0) return base;
-  const int exp = std::min(m.probe_retries, cfg_.probe_backoff_cap);
+  const int exp = std::min(m.probe_retries, kProbeBackoffCap);
   return static_cast<sim::SimTime>(static_cast<double>(base) *
                                    std::pow(cfg_.probe_backoff, exp));
 }
@@ -933,7 +932,7 @@ void HrmcSender::process_nak(const Header& h, net::Addr from) {
   const std::uint32_t rate_before = rate_.rate();
   if (fresh &&
       rate_.on_negative_feedback(
-          now, static_cast<sim::SimTime>(cfg_.rate_cut_holdoff_rtts *
+          now, static_cast<sim::SimTime>(kRateCutHoldoffRtts *
                                          static_cast<double>(rtt_.srtt())))) {
     stats_.rate_cuts++;
     trace_.emit(trace::EventKind::kRateCut, range_from, range_to,
@@ -959,7 +958,7 @@ void HrmcSender::process_control(const Header& h, net::Addr from) {
   } else {
     if (rate_.on_negative_feedback(
             now,
-            static_cast<sim::SimTime>(cfg_.rate_cut_holdoff_rtts *
+            static_cast<sim::SimTime>(kRateCutHoldoffRtts *
                                       static_cast<double>(rtt_.srtt())),
             h.rate)) {
       stats_.rate_cuts++;
@@ -1116,7 +1115,7 @@ void HrmcSender::process_leave(const Header& h, net::Addr from) {
 
 void HrmcSender::note_forward_activity() {
   last_forward_send_ = host_.scheduler().now();
-  ka_period_ = cfg_.keepalive_init;
+  ka_period_ = kKeepaliveInit;
   ka_timer_.mod_timer_in(ka_period_);
 }
 
@@ -1131,7 +1130,7 @@ void HrmcSender::keepalive_fire() {
                         rate_.rate(), 0, /*urg=*/false,
                         /*fin=*/fin_closed_ && all_sent);
     stats_.keepalives_sent++;
-    ka_period_ = std::min<kern::Jiffies>(ka_period_ * 2, cfg_.keepalive_max);
+    ka_period_ = std::min<kern::Jiffies>(ka_period_ * 2, kKeepaliveMax);
   }
   ka_timer_.mod_timer_in(ka_period_);
 }

@@ -278,7 +278,7 @@ class HrmcSender final : public net::Transport {
   /// by the loss the feedback channel already reports — NAK volume per
   /// data packet plus the AGG_UPDATE subtree-minimum lag — clamped to
   /// [fec_parity_min, fec_parity_max], damped to one step per epoch,
-  /// decreases additionally held for fec_hysteresis_epochs.
+  /// decreases additionally held for kFecHysteresisEpochs.
   void fec_adapt_fire();
   [[nodiscard]] kern::Jiffies fec_adapt_jiffies() const;
   std::vector<std::vector<std::uint8_t>> fec_parity_;

@@ -45,9 +45,8 @@ enum class MemComponent : std::uint8_t {
   kRepairCache = 3, ///< repairer payload cache (hierarchical repair)
   kFecData = 4,     ///< receiver FEC data-shard cache
   kFecParity = 5,   ///< receiver FEC parity-row cache
-  kSchedSlab = 6,   ///< scheduler slab (sampled, not charged live)
 };
-inline constexpr std::size_t kMemComponentCount = 7;
+inline constexpr std::size_t kMemComponentCount = 6;
 
 /// Rx frames at or below this wire size bypass the NIC admission probe:
 /// they model allocations from the driver's GFP_ATOMIC reserve pool,
@@ -67,19 +66,6 @@ inline constexpr std::size_t kMemRxReserveBytes = 256;
 /// long gone. A couple of MTUs of slack keeps the rx path admitting
 /// while the caches refill.
 inline constexpr std::uint64_t kMemEvictHeadroomBytes = 4096;
-
-inline const char* mem_component_name(MemComponent c) {
-  switch (c) {
-    case MemComponent::kSkb: return "skb";
-    case MemComponent::kSendWindow: return "send_window";
-    case MemComponent::kReassembly: return "reassembly";
-    case MemComponent::kRepairCache: return "repair_cache";
-    case MemComponent::kFecData: return "fec_data";
-    case MemComponent::kFecParity: return "fec_parity";
-    case MemComponent::kSchedSlab: return "sched_slab";
-  }
-  return "?";
-}
 
 class MemAccountant {
  public:

@@ -49,7 +49,7 @@ void Topology::build(
   sim::Scheduler& sched = backbone_sched;
   backbone_ = std::make_unique<Router>(
       sched, "backbone",
-      RouterConfig{cfg.network_bps, cfg.router_queue, 0.0},
+      RouterConfig{.speed_bps = cfg.network_bps},
       sim::substream_seed(cfg.seed, "router:backbone"));
 
   // Sender: host 10.0.0.1 on a loss-free, zero-delay access link. (Its
@@ -59,7 +59,7 @@ void Topology::build(
   const Addr sender_addr = make_addr(10, 0, 0, 1);
   nics_.push_back(std::make_unique<Nic>(
       sched, "nic:sender",
-      NicConfig{cfg.network_bps, 0, 0.0, cfg.nic_tx_ring},
+      NicConfig{.link_bps = cfg.network_bps},
       sim::substream_seed(cfg.seed, "nic:sender")));
   sender_ = std::make_unique<Host>(sched, "sender", sender_addr);
   sender_->attach_nic(nics_[0].get());
@@ -74,14 +74,13 @@ void Topology::build(
     const std::string rname = "router:" + spec.label;
     auto router = std::make_unique<Router>(
         gsched, rname,
-        RouterConfig{cfg.network_bps, cfg.router_queue,
-                     spec.loss_rate * cfg.correlated_share},
+        RouterConfig{.speed_bps = cfg.network_bps,
+                     .loss_rate = spec.loss_rate * cfg.correlated_share},
         sim::substream_seed(cfg.seed, rname));
     // Feedback from this group's receivers heads back up to the backbone.
     router->set_default_route(backbone_.get());
 
     for (int r = 0; r < spec.receivers; ++r) {
-      const std::size_t idx = receivers_.size();
       const Addr addr = make_addr(10, static_cast<unsigned>(g + 1),
                                   static_cast<unsigned>(r / 250),
                                   static_cast<unsigned>(r % 250 + 1));
@@ -89,9 +88,10 @@ void Topology::build(
           "nic:" + spec.label + std::to_string(r);
       auto nic = std::make_unique<Nic>(
           gsched, nname,
-          NicConfig{cfg.network_bps, spec.delay,
-                    spec.loss_rate * (1.0 - cfg.correlated_share),
-                    cfg.nic_tx_ring},
+          NicConfig{.link_bps = cfg.network_bps,
+                    .rx_delay = spec.delay,
+                    .rx_loss_rate =
+                        spec.loss_rate * (1.0 - cfg.correlated_share)},
           sim::substream_seed(cfg.seed, nname));
       auto host = std::make_unique<Host>(
           gsched, "rcvr:" + spec.label + std::to_string(r), addr);
@@ -106,7 +106,6 @@ void Topology::build(
       receivers_.push_back(std::move(host));
       receiver_ptrs_.push_back(receivers_.back().get());
       receiver_group_.push_back(g);
-      (void)idx;
     }
     group_routers_.push_back(std::move(router));
   }

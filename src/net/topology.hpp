@@ -39,11 +39,8 @@ struct GroupSpec {
 };
 
 struct TopologyConfig {
-  double network_bps = 10e6;       ///< speed of every router and link
-  std::size_t router_queue = 512;  ///< router FIFO capacity (packets)
-  /// Host NIC transmit queue (device queue + descriptor ring), packets.
-  std::size_t nic_tx_ring = 128;
-  double correlated_share = 0.9;   ///< fraction of loss placed at the router
+  double network_bps = 10e6;      ///< speed of every router and link
+  double correlated_share = 0.9;  ///< fraction of loss placed at the router
   std::uint64_t seed = 1;
   std::vector<GroupSpec> groups;
 };

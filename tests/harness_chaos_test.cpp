@@ -100,6 +100,22 @@ TEST(Chaos, PinnedSeedBlockPassesOracle) {
   }
 }
 
+TEST(Chaos, TruncatedTraceFailsOracle) {
+  // A wrapped ring has lost the oldest records, so trace::verify would
+  // see a partial history: the oracle must fail the run, not pass it
+  // with no invariant checked.
+  const ChaosSpec s = generate_spec(17);
+  Scenario sc = to_scenario(s);
+  sc.trace.ring_capacity = 64;
+  const RunResult r = run_transfer(sc);
+  ASSERT_GT(r.trace_dropped, 0u);
+  ASSERT_TRUE(judge_result(s, run_transfer(to_scenario(s))).ok);
+  const ChaosVerdict v = judge_result(s, r);
+  EXPECT_FALSE(v.ok);
+  EXPECT_EQ(v.failure, "trace truncated: " + std::to_string(r.trace_dropped) +
+                           " records dropped, invariants unchecked");
+}
+
 TEST(Chaos, JudgeIsDeterministic) {
   const ChaosSpec s = generate_spec(17);
   const ChaosVerdict a = judge(s);

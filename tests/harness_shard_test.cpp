@@ -10,8 +10,9 @@
 // churn, hierarchy — whatever the seeds draw) plus hand-built cells for
 // a repairer kill mid-stream, a membership-churn plan, adaptive FEC
 // under burst loss and memory pressure (budget, squeeze and alloc-fail
-// windows). A table of scenarios then checks that the serial and the
-// sharded engine agree on the protocol outcome.
+// windows). A table of scenarios, and the chaos oracle over pinned
+// generator seeds, then check that the serial and the sharded engine
+// agree on the protocol outcome.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -99,6 +100,33 @@ TEST(ShardDifferential, ChaosBatteryIsThreadCountInvariant) {
     // identical replay is worthless if the run it replays is broken.
     const ChaosVerdict v = judge_result(spec, serial);
     EXPECT_TRUE(v.ok) << v.failure;
+  }
+}
+
+TEST(ShardDifferential, OracleAgreesAcrossEngines) {
+  // The chaos oracle on the sharded engine: every generated spec, and
+  // every memory-pressure spec, must earn the same verdict there as on
+  // the serial engine. Stats may differ (same-timestamp events in
+  // different domains interleave differently), the outcome may not.
+  const auto check = [](const ChaosSpec& spec, const char* kind) {
+    SCOPED_TRACE(testing::Message() << kind << " seed " << spec.seed);
+    Scenario sc = to_scenario(spec);
+    const RunResult serial = run_transfer(sc);
+    sc.shard.enabled = true;
+    sc.shard.threads = 2;
+    const RunResult sharded = run_transfer(sc);
+    const ChaosVerdict want = judge_result(spec, serial);
+    const ChaosVerdict have = judge_result(spec, sharded);
+    EXPECT_TRUE(have.ok) << have.failure;
+    EXPECT_EQ(want.ok, have.ok) << want.failure;
+    EXPECT_EQ(serial.survivors_completed, sharded.survivors_completed);
+    EXPECT_EQ(serial.verify_ok, sharded.verify_ok);
+  };
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    check(generate_spec(seed), "chaos");
+  }
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    check(generate_mem_spec(seed), "mem");
   }
 }
 

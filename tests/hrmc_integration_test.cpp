@@ -225,9 +225,9 @@ TEST(Integration, UpdatePeriodConvergesInSteadyState) {
   s.sched.run_while([&] { return !s.snd->finished(); }, sim::seconds(120));
   ASSERT_TRUE(s.snd->finished());
   // The period moved off its initial value and stayed within bounds.
-  EXPECT_GE(r->update_period(), s.cfg_.update_period_min);
-  EXPECT_LE(r->update_period(), s.cfg_.update_period_max);
-  EXPECT_NE(r->update_period(), s.cfg_.update_period_init);
+  EXPECT_GE(r->update_period(), proto::kUpdatePeriodMin);
+  EXPECT_LE(r->update_period(), proto::kUpdatePeriodMax);
+  EXPECT_NE(r->update_period(), proto::kUpdatePeriodInit);
 }
 
 TEST(Integration, StatsConservation) {

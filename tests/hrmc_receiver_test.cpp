@@ -333,7 +333,7 @@ TEST_F(ReceiverTest, FixedUpdatePeriodWhenDynamicDisabled) {
   make_receiver(cfg);
   inject(PacketType::kJoinResponse, Config::kInitialSeq, 0);
   run_for(sim::seconds(5));
-  EXPECT_EQ(rcv_->update_period(), cfg.update_period_init);
+  EXPECT_EQ(rcv_->update_period(), kUpdatePeriodInit);
 }
 
 TEST_F(ReceiverTest, WarningRegionSendsRateRequest) {
