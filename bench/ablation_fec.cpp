@@ -11,16 +11,16 @@
 //         selective-repeat fallback when a group's losses exceed its
 //         parity budget.
 //
-// Acceptance (full run, enforced by exit code): at the ~5% burst-loss
-// operating point the adaptive RS arm completes the 8 MB transfer with
+// Acceptance (enforced by exit code): at the ~5% burst-loss operating
+// point the adaptive RS arm completes the 8 MB transfer with
 //   - at least 2x fewer repair events (NAKs sent + retransmissions)
 //     than pure NAK, and
 //   - at most 1.3x the pure-NAK wire bytes (data + retransmissions +
 //     parity: the FEC premium stays bounded).
 //
-// `--smoke` runs a 2 MB variant of the same three arms (the CI bench
-// gate: metrics land in BENCH_fec.json for check_bench.py --suite fec).
-#include <cstring>
+// Stdout is deterministic; CI diffs it against
+// bench/golden/ablation_fec.txt, so every count in the table is gated
+// exactly. Metrics land in BENCH_fec.json when HRMC_BENCH_JSON_DIR is set.
 #include <iterator>
 #include <string>
 #include <vector>
@@ -56,15 +56,24 @@ constexpr Arm kArms[] = {
     {"rs", 8, 1, 4, true},
 };
 
-Scenario cell(const Arm& arm, const net::GilbertElliottConfig& ge,
-              const std::string& tag, std::uint64_t file_bytes) {
+struct Point {
+  const char* tag;
+  net::GilbertElliottConfig ge;
+};
+
+/// Loss points, the ~5% acceptance point last.
+constexpr Point kPoints[] = {{"b2", kBurst2}, {"b5", kBurst5}};
+
+constexpr std::uint64_t kFileBytes = 8 * kMiB;
+
+Scenario cell(const Arm& arm, const Point& p) {
   Workload wl;
-  wl.file_bytes = file_bytes;
+  wl.file_bytes = kFileBytes;
   Scenario sc = lan_scenario(4, 10e6, 256 << 10, wl, kBenchSeed);
-  sc.name = std::string("fec_") + tag + "_" + arm.name;
+  sc.name = std::string("fec_") + p.tag + "_" + arm.name;
   sc.topo.groups[0].loss_rate = 0.0;  // all loss comes from the GE chain
   sc.topo.groups[0].delay = sim::milliseconds(20);  // recovery RTT matters
-  sc.faults.burst_loss(0, 0, ge);
+  sc.faults.burst_loss(0, 0, p.ge);
   sc.proto.fec_group = arm.fec_group;
   sc.proto.fec_parity_min = arm.parity_min;
   sc.proto.fec_parity_max = arm.parity_max;
@@ -88,34 +97,15 @@ std::uint64_t wire_bytes(const RunResult& r) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
-  const std::uint64_t file_bytes = smoke ? 2 * kMiB : 8 * kMiB;
-
+int main() {
   banner("Ablation: adaptive RS-FEC vs fixed XOR vs pure NAK",
-         (smoke ? std::string("smoke: 2 MB")
-                : std::string("full: 8 MB")) +
-             " to 4 receivers, 20 ms paths, Gilbert-Elliott burst "
-             "loss\n(mean burst 2 packets); acceptance enforced at the "
-             "~5% point on the full run");
-
-  struct Point {
-    const char* tag;
-    net::GilbertElliottConfig ge;
-  };
-  const std::vector<Point> points = smoke
-      ? std::vector<Point>{{"b5", kBurst5}}
-      : std::vector<Point>{{"b2", kBurst2}, {"b5", kBurst5}};
+         "8 MB to 4 receivers, 20 ms paths, Gilbert-Elliott burst loss\n"
+         "(mean burst 2 packets); acceptance enforced at the ~5% point");
 
   Sweep sweep("fec");
   std::vector<Scenario> cells;
-  for (const Point& p : points) {
-    for (const Arm& arm : kArms) {
-      cells.push_back(cell(arm, p.ge, p.tag, file_bytes));
-    }
+  for (const Point& p : kPoints) {
+    for (const Arm& arm : kArms) cells.push_back(cell(arm, p));
   }
   const std::vector<RunResult> results = sweep.run(cells);
 
@@ -127,7 +117,7 @@ int main(int argc, char** argv) {
     const RunResult& r = results[i];
     const Arm& arm = kArms[i % std::size(kArms)];
     all_completed = all_completed && r.completed;
-    t.add_row({points[i / std::size(kArms)].tag, arm.name,
+    t.add_row({kPoints[i / std::size(kArms)].tag, arm.name,
                r.completed ? "yes" : "NO", fmt(r.throughput_mbps, 2),
                std::to_string(r.receivers_total.naks_sent),
                std::to_string(r.sender.retransmissions),
@@ -165,7 +155,7 @@ int main(int argc, char** argv) {
                  static_cast<double>(r.sender.retrans_bytes +
                                      r.sender.fec_parity_bytes));
     const double delivered_gb =
-        4.0 * static_cast<double>(file_bytes) / 1e9;
+        4.0 * static_cast<double>(kFileBytes) / 1e9;
     sweep.metric(name, "naks_per_gb",
                  static_cast<double>(r.receivers_total.naks_sent) /
                      delivered_gb);
@@ -174,7 +164,7 @@ int main(int argc, char** argv) {
   std::cout << '\n';
 
   // Acceptance at the ~5% burst point: arms are laid out nak/xor/rs,
-  // with the b5 point last (full) or only (smoke).
+  // with the b5 point last.
   const std::size_t base = cells.size() - std::size(kArms);
   const RunResult& nak = results[base + 0];
   const RunResult& rs = results[base + 2];
@@ -194,7 +184,6 @@ int main(int argc, char** argv) {
     std::cout << "\nFAIL: an arm did not complete its transfer\n";
     return 1;
   }
-  if (smoke) return 0;
 
   bool ok = true;
   if (repair_ratio < 2.0) {

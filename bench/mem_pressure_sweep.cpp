@@ -8,7 +8,7 @@
 // send window below the link rate) and 1% random loss (so reassembly
 // holes accumulate and the receiver-side eviction / re-NAK path runs).
 //
-// Acceptance (full run, enforced by exit code):
+// Acceptance (enforced by exit code):
 //   - every cell completes: pressure degrades goodput, it never
 //     deadlocks or livelocks the transfer;
 //   - budget safety: no budgeted cell's ledger peak exceeds its budget;
@@ -19,9 +19,11 @@
 //   - the starved cell actually exercised the machinery (alloc
 //     failures or evictions observed).
 //
-// `--smoke` runs a 2 MB subset for the CI bench gate; metrics land in
-// BENCH_mem.json for check_bench.py --suite mem.
-#include <cstring>
+// Stdout is deterministic; CI diffs it against
+// bench/golden/mem_pressure_sweep.txt, so every count in the table is
+// gated exactly. Metrics land in BENCH_mem.json when HRMC_BENCH_JSON_DIR
+// is set.
+#include <array>
 #include <string>
 #include <vector>
 
@@ -37,19 +39,19 @@ namespace {
 /// baseline). The tail is deliberately below the 256 KiB socket
 /// buffers: the sender's window and the receivers' reassembly must
 /// shrink to fit, trading goodput for footprint.
-constexpr std::uint64_t kBudgetsFull[] = {
+constexpr std::array<std::uint64_t, 6> kBudgets = {
     0, 512u << 10, 256u << 10, 128u << 10, 64u << 10, 32u << 10};
-constexpr std::uint64_t kBudgetsSmoke[] = {0, 256u << 10, 64u << 10};
+
+constexpr std::uint64_t kFileBytes = 8 * kMiB;
 
 std::string budget_label(std::uint64_t b) {
   if (b == 0) return "mem_b0";
   return "mem_b" + std::to_string(b >> 10) + "k";
 }
 
-Scenario cell(std::uint64_t budget, std::uint64_t file_bytes,
-              const std::string& name) {
+Scenario cell(std::uint64_t budget, const std::string& name) {
   Workload wl;
-  wl.file_bytes = file_bytes;
+  wl.file_bytes = kFileBytes;
   Scenario sc = lan_scenario(4, 10e6, 256 << 10, wl, kBenchSeed);
   sc.name = name;
   sc.topo.groups[0].loss_rate = 0.01;
@@ -61,37 +63,20 @@ Scenario cell(std::uint64_t budget, std::uint64_t file_bytes,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
-  const std::uint64_t file_bytes = smoke ? 2 * kMiB : 8 * kMiB;
-
+int main() {
   banner("Memory-pressure sweep: goodput vs per-host budget",
-         (smoke ? std::string("smoke: 2 MB")
-                : std::string("full: 8 MB")) +
-             " to 4 receivers, 10 Mbps / 20 ms / 1% loss; budget "
-             "unlimited -> 32K,\nplus squeeze and alloc-fail windows; "
-             "acceptance enforced on the full run");
-
-  std::vector<std::uint64_t> budgets;
-  if (smoke) {
-    budgets.assign(std::begin(kBudgetsSmoke), std::end(kBudgetsSmoke));
-  } else {
-    budgets.assign(std::begin(kBudgetsFull), std::end(kBudgetsFull));
-  }
+         "8 MB to 4 receivers, 10 Mbps / 20 ms / 1% loss; budget unlimited "
+         "-> 32K,\nplus squeeze and alloc-fail windows; acceptance "
+         "enforced by exit code");
 
   Sweep sweep("mem");
   std::vector<Scenario> cells;
-  for (std::uint64_t b : budgets) {
-    cells.push_back(cell(b, file_bytes, budget_label(b)));
-  }
+  for (std::uint64_t b : kBudgets) cells.push_back(cell(b, budget_label(b)));
   // Shrinker squeeze: a generous 1 MiB budget whose *effective* value
   // drops 80% for a one-second window mid-transfer — consumers must
   // evict down to the squeezed watermark and recover afterwards.
   {
-    Scenario sc = cell(1u << 20, file_bytes, "mem_squeeze");
+    Scenario sc = cell(1u << 20, "mem_squeeze");
     sc.faults.mem_pressure(0, sim::milliseconds(500), 0.8);
     sc.faults.mem_pressure_stop(0, sim::milliseconds(1500));
     cells.push_back(sc);
@@ -99,7 +84,7 @@ int main(int argc, char** argv) {
   // GFP_ATOMIC-style probabilistic allocation failure: every charge and
   // rx admission flips a seeded 5% coin for one second.
   {
-    Scenario sc = cell(1u << 20, file_bytes, "mem_allocfail");
+    Scenario sc = cell(1u << 20, "mem_allocfail");
     sc.faults.alloc_fail(0, sim::milliseconds(500), 0.05);
     sc.faults.alloc_fail_stop(0, sim::milliseconds(1500));
     cells.push_back(sc);
@@ -113,7 +98,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const RunResult& r = results[i];
     const std::uint64_t budget =
-        i < budgets.size() ? budgets[i] : (1u << 20);
+        i < kBudgets.size() ? kBudgets[i] : (1u << 20);
     all_completed = all_completed && r.completed;
     if (budget > 0 && r.mem_peak_bytes > budget) budget_safe = false;
     t.add_row({cells[i].name, r.completed ? "yes" : "NO",
@@ -149,21 +134,21 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   std::cout << '\n';
 
-  // Degradation curve over the budget axis (cells [0, budgets.size()),
+  // Degradation curve over the budget axis (cells [0, kBudgets.size()),
   // loosest first).
+  const RunResult& starved_cell = results[kBudgets.size() - 1];
   const double unlimited = results[0].throughput_mbps;
-  const double starved = results[budgets.size() - 1].throughput_mbps;
+  const double starved = starved_cell.throughput_mbps;
   double worst_adjacent = 1.0;
-  for (std::size_t i = 1; i < budgets.size(); ++i) {
+  for (std::size_t i = 1; i < kBudgets.size(); ++i) {
     const double prev = results[i - 1].throughput_mbps;
     const double cur = results[i].throughput_mbps;
     if (prev > 0.0) worst_adjacent = std::min(worst_adjacent, cur / prev);
   }
   const double starved_ratio = unlimited > 0.0 ? starved / unlimited : 0.0;
-  const std::uint64_t starved_pressure =
-      results[budgets.size() - 1].mem_alloc_fails +
-      results[budgets.size() - 1].mem_cache_evictions +
-      results[budgets.size() - 1].sender.alloc_stalls;
+  const std::uint64_t starved_pressure = starved_cell.mem_alloc_fails +
+                                         starved_cell.mem_cache_evictions +
+                                         starved_cell.sender.alloc_stalls;
   std::cout << "goodput: unlimited " << fmt(unlimited, 2) << " Mbps -> "
             << "starved " << fmt(starved, 2) << " Mbps ("
             << fmt(100.0 * starved_ratio, 1) << "% kept); worst "
@@ -184,7 +169,6 @@ int main(int argc, char** argv) {
     std::cout << "FAIL: a cell's ledger peak exceeded its budget\n";
     ok = false;
   }
-  if (smoke) return ok ? 0 : 1;
 
   // No collapse to zero: the starved cell keeps a usable fraction.
   constexpr double kStarvedFloor = 0.15;

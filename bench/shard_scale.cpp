@@ -16,14 +16,15 @@
 //      divergence is a determinism bug, never a perf tradeoff, so the
 //      binary exits non-zero even on a single-core box.
 //   2. Throughput scaling (enforced only where the hardware can
-//      deliver it): >=1.6x events/sec at 2 threads and >=2.8x at 4 in
-//      the full run, skipped with a note when hardware_concurrency()
-//      is below the thread count (the smoke gate re-enforces the
-//      2-thread floor in CI via check_bench.py --suite shard).
+//      deliver it): >=1.6x events/sec at 2 threads and >=2.8x at 4,
+//      each checked when the run measured that thread count and
+//      skipped with a note when hardware_concurrency() is below it.
 //
 // `--smoke` runs the same topology with a smaller file at 1/2 threads
-// only; full mode adds 4/8 threads and the in-binary scaling floors.
+// only, so it checks identity and the 2-thread floor (CI runs it); full
+// mode adds 4/8 threads and the 4-thread floor.
 // Emits BENCH_shard.json when HRMC_BENCH_JSON_DIR is set.
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -229,32 +230,34 @@ int main(int argc, char** argv) {
             << static_cast<std::uint64_t>(serial_eps) << " events/s\n";
 
   // Scaling floors: only meaningful where the hardware has the cores.
-  // The 1-core container this repo develops in timeshares every worker
-  // onto one CPU, so speedups there hover near (or below) 1.0 by
-  // construction -- identity is the property that must hold anywhere.
-  if (!smoke) {
-    struct Floor {
-      unsigned threads;
-      double speedup;
-      double floor;
-    };
-    for (const Floor& f : {Floor{2, speedup_2t, 1.6},
-                           Floor{4, speedup_4t, 2.8}}) {
-      if (hw < f.threads) {
-        std::cout << "skip: " << f.threads << "-thread floor ("
-                  << f2(f.floor) << "x) needs >= " << f.threads
-                  << " hardware threads, have " << hw << "\n";
-        continue;
-      }
-      if (f.speedup < f.floor) {
-        std::cout << "FAIL: " << f.threads << "-thread speedup "
-                  << f2(f.speedup) << "x is below the " << f2(f.floor)
-                  << "x floor\n";
-        ok = false;
-      } else {
-        std::cout << "ok: " << f.threads << "-thread speedup "
-                  << f2(f.speedup) << "x >= " << f2(f.floor) << "x\n";
-      }
+  // A 1-core host timeshares every worker onto one CPU, so speedups
+  // there hover near (or below) 1.0 by construction -- identity is the
+  // property that must hold anywhere. The floors are targets the engine
+  // barely meets: on 4 cores (GCC 12.2, Release) the smoke cell ran
+  // 1.53x-1.73x at 2 threads over seven runs, and the full cell 1.65x at
+  // 2 threads but 1.66x at 4, so full mode fails its 4-thread floor.
+  struct Floor {
+    unsigned threads;
+    double speedup;
+    double floor;
+  };
+  for (const Floor& f : {Floor{2, speedup_2t, 1.6},
+                         Floor{4, speedup_4t, 2.8}}) {
+    if (std::ranges::find(threads, f.threads) == threads.end()) continue;
+    if (hw < f.threads) {
+      std::cout << "skip: " << f.threads << "-thread floor ("
+                << f2(f.floor) << "x) needs >= " << f.threads
+                << " hardware threads, have " << hw << "\n";
+      continue;
+    }
+    if (f.speedup < f.floor) {
+      std::cout << "FAIL: " << f.threads << "-thread speedup "
+                << f2(f.speedup) << "x is below the " << f2(f.floor)
+                << "x floor\n";
+      ok = false;
+    } else {
+      std::cout << "ok: " << f.threads << "-thread speedup "
+                << f2(f.speedup) << "x >= " << f2(f.floor) << "x\n";
     }
   }
 

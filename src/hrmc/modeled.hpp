@@ -62,7 +62,6 @@ class ModeledReceiver final : public net::Transport {
   [[nodiscard]] std::uint32_t population() const { return population_; }
   /// Smallest next_expected over the modeled leaves.
   [[nodiscard]] kern::Seq population_min() const;
-  [[nodiscard]] std::size_t hole_count() const { return holes_.size(); }
   [[nodiscard]] bool joined() const { return joined_; }
 
   void set_trace(trace::TraceSink sink) { trace_ = sink; }

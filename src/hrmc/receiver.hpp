@@ -147,14 +147,12 @@ class HrmcReceiver final : public net::Transport {
   /// aggregates child positions into one AGG_UPDATE per subtree toward
   /// the sender, and forwards only unrepairable NAKs upward.
   void enable_repairer();
-  [[nodiscard]] bool is_repairer() const { return repair_ != nullptr; }
 
   /// Re-homes this receiver's feedback (JOIN, UPDATE, NAK, CONTROL,
   /// LEAVE) to a local repairer instead of the sender. Data still
   /// arrives via multicast. If the repairer stops making progress the
   /// receiver fails over to the sender (kRepairFailoverNaks).
   void set_repair_parent(net::Addr parent);
-  [[nodiscard]] net::Addr repair_parent() const { return repair_parent_; }
 
   /// Folded end-state of the suppression-backoff RNG — part of
   /// RunResult::rng_digest.

@@ -63,10 +63,6 @@ class RepairAgent {
   void stop();
 
   [[nodiscard]] std::size_t child_count() const { return children_.size(); }
-  [[nodiscard]] std::size_t cache_packets() const { return cache_.size(); }
-  /// Payload bytes held by the repair cache (bounded by
-  /// Config::repair_cache_bytes when nonzero, on top of the packet cap).
-  [[nodiscard]] std::size_t cache_bytes() const { return cache_bytes_; }
 
  private:
   struct Child {
@@ -102,7 +98,7 @@ class RepairAgent {
   HrmcReceiver& owner_;
   std::unordered_map<net::Addr, Child> children_;
   std::deque<CacheEntry> cache_;
-  std::size_t cache_bytes_ = 0;
+  std::size_t cache_bytes_ = 0;  ///< payload bytes held in cache_
   kern::TimerList flush_timer_;
   bool dirty_ = false;
   /// Rate-limit for forwarded (non-urgent) child rate requests.

@@ -794,56 +794,43 @@ McMember* HrmcSender::refresh_member(net::Addr addr, Seq next_expected,
   return m;
 }
 
-bool HrmcSender::take_rtt_sample_for(Seq seq, sim::SimTime now) {
-  const auto offer = [&](sim::SimTime sent_at, std::uint8_t tries) {
-    const sim::SimTime sample = now - sent_at;
-    // Karn's rule: retransmitted data gives ambiguous samples. Beyond
-    // that, feedback can reference data sent arbitrarily long ago (a
-    // PROBE- or KEEPALIVE-triggered NAK names an old loss); such a
-    // delay is not a round trip — but staleness only ever inflates a
-    // sample, so a sample *below* the current estimate is always real
-    // evidence and is accepted. Upward movement is accepted only while
-    // feedback timing is the estimator's source (RMC mode / bootstrap),
-    // bounded by 2x RTO; in steady H-RMC the upward direction belongs
-    // to solicited probe responses.
-    const bool downward = sample < rtt_.srtt();
-    const bool upward_ok =
-        !rtt_.seeded() ||  // bootstrap: the first coarse sample is what
-                           // unsticks a wrong initial estimate
-        (feedback_timing_wanted() && sample <= 2 * rtt_.rto());
-    rtt_.sample(sample,
-                /*from_retransmit=*/tries > 1 || !(downward || upward_ok));
-  };
+void HrmcSender::take_rtt_sample_for(Seq seq, sim::SimTime now) {
+  const std::optional<SentLogEntry> sent = sent_record(seq);
+  if (!sent) return;
+  const sim::SimTime sample = now - sent->last_sent;
+  // Karn's rule: retransmitted data gives ambiguous samples. Beyond
+  // that, feedback can reference data sent arbitrarily long ago (a
+  // PROBE- or KEEPALIVE-triggered NAK names an old loss); such a
+  // delay is not a round trip — but staleness only ever inflates a
+  // sample, so a sample *below* the current estimate is always real
+  // evidence and is accepted. Upward movement is accepted only while
+  // feedback timing is the estimator's source (RMC mode / bootstrap),
+  // bounded by 2x RTO; in steady H-RMC the upward direction belongs
+  // to solicited probe responses.
+  const bool downward = sample < rtt_.srtt();
+  const bool upward_ok =
+      !rtt_.seeded() ||  // bootstrap: the first coarse sample is what
+                         // unsticks a wrong initial estimate
+      (feedback_timing_wanted() && sample <= 2 * rtt_.rto());
+  rtt_.sample(sample,
+              /*from_retransmit=*/sent->tries > 1 || !(downward || upward_ok));
+}
+
+std::optional<HrmcSender::SentLogEntry> HrmcSender::sent_record(
+    Seq seq) const {
   for (std::size_t i = 0; i < first_unsent_; ++i) {
     const TxRecord& rec = write_queue_[i];
     if (seq_before_eq(rec.seq_end, seq)) continue;
     if (seq_before(seq, rec.seq_begin)) break;
-    offer(rec.last_sent, rec.tries);
-    return true;
+    return SentLogEntry{rec.seq_begin, rec.seq_end, rec.last_sent, rec.tries};
   }
   // Fall back to the released-data log (most recent first).
   for (auto it = sent_log_.rbegin(); it != sent_log_.rend(); ++it) {
     if (seq_before(seq, it->begin)) continue;
     if (seq_before_eq(it->end, seq)) break;  // older than anything logged
-    offer(it->last_sent, it->tries);
-    return true;
+    return *it;
   }
-  return false;
-}
-
-sim::SimTime HrmcSender::send_time_of(Seq seq) const {
-  for (std::size_t i = 0; i < first_unsent_; ++i) {
-    const TxRecord& rec = write_queue_[i];
-    if (seq_before_eq(rec.seq_end, seq)) continue;
-    if (seq_before(seq, rec.seq_begin)) break;
-    return rec.last_sent;
-  }
-  for (auto it = sent_log_.rbegin(); it != sent_log_.rend(); ++it) {
-    if (seq_before(seq, it->begin)) continue;
-    if (seq_before_eq(it->end, seq)) break;
-    return it->last_sent;
-  }
-  return -1;
+  return std::nullopt;
 }
 
 void HrmcSender::queue_retransmission(Seq from, Seq to) {
@@ -926,9 +913,9 @@ void HrmcSender::process_nak(const Header& h, net::Addr from) {
   // referencing data sent long ago (a late joiner catching up, a probed
   // straggler) says nothing about current congestion, and reacting to a
   // catch-up NAK stream would pin the rate at the minimum.
-  const sim::SimTime sent_at = send_time_of(range_from);
+  const std::optional<SentLogEntry> sent = sent_record(range_from);
   const sim::SimTime now = host_.scheduler().now();
-  const bool fresh = sent_at >= 0 && now - sent_at <= fresh_bound;
+  const bool fresh = sent && now - sent->last_sent <= fresh_bound;
   const std::uint32_t rate_before = rate_.rate();
   if (fresh &&
       rate_.on_negative_feedback(

@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -90,10 +91,8 @@ class HrmcSender final : public net::Transport {
   [[nodiscard]] const MemberTable& members() const { return members_; }
   [[nodiscard]] std::uint32_t current_rate() const { return rate_.rate(); }
   [[nodiscard]] sim::SimTime srtt() const { return rtt_.srtt(); }
-  [[nodiscard]] kern::Seq snd_wnd() const { return snd_wnd_; }
   [[nodiscard]] kern::Seq snd_nxt() const { return snd_nxt_; }
   [[nodiscard]] kern::Seq snd_sent() const { return snd_sent_; }
-  [[nodiscard]] bool fin_queued() const { return fin_closed_; }
 
   /// Total time the send window has sat blocked past its hold time
   /// waiting on member information, including a stall still open now.
@@ -183,11 +182,11 @@ class HrmcSender final : public net::Transport {
   void process_leave(const Header& h, net::Addr from);
   McMember* refresh_member(net::Addr addr, kern::Seq next_expected,
                            bool solicited);
-  /// Returns false if no window record covers `seq` (nothing to time).
-  bool take_rtt_sample_for(kern::Seq seq, sim::SimTime now);
-  /// Most recent transmission time of the packet containing `seq`
-  /// (window first, then the released-data log); -1 if unknown.
-  [[nodiscard]] sim::SimTime send_time_of(kern::Seq seq) const;
+  /// Times the packet containing `seq`, if sent_record() knows it.
+  void take_rtt_sample_for(kern::Seq seq, sim::SimTime now);
+  /// The sent packet containing `seq`: the window's sent records first,
+  /// then the released-data log; nullopt if neither holds it.
+  [[nodiscard]] std::optional<SentLogEntry> sent_record(kern::Seq seq) const;
 
   /// Whether RTT should be estimated from data-referencing feedback
   /// (NAK / CONTROL / JOIN send-time lookups). In H-RMC mode, solicited

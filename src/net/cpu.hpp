@@ -30,9 +30,6 @@ class Cpu {
     sched_->schedule_at(busy_until_, std::forward<F>(done));
   }
 
-  /// Time at which all queued work completes.
-  [[nodiscard]] sim::SimTime busy_until() const { return busy_until_; }
-
   /// Cumulative busy time (for utilization reporting).
   [[nodiscard]] sim::SimTime total_busy() const { return total_busy_; }
 

@@ -179,17 +179,6 @@ FaultPlan& FaultPlan::alloc_fail_stop(std::size_t group, sim::SimTime at) {
   return *this;
 }
 
-FaultPlan& FaultPlan::link_flaps(std::size_t receiver, sim::SimTime start,
-                                 sim::SimTime period, sim::SimTime down_time,
-                                 int count) {
-  for (int k = 0; k < count; ++k) {
-    const sim::SimTime at = start + k * period;
-    link_down(receiver, at);
-    link_up(receiver, at + down_time);
-  }
-  return *this;
-}
-
 FaultPlan& FaultPlan::trunk_flaps(std::size_t group, sim::SimTime start,
                                   sim::SimTime period, sim::SimTime down_time,
                                   int count, sim::SimTime reconverge) {

@@ -138,13 +138,10 @@ struct FaultPlan {
   FaultPlan& alloc_fail(std::size_t group, sim::SimTime at, double prob);
   FaultPlan& alloc_fail_stop(std::size_t group, sim::SimTime at);
 
-  /// Flap schedules (per-link and per-trunk): `count` down/up pairs,
-  /// the k-th going down at `start + k*period` and returning `down_time`
-  /// later. Periods shorter than the down time produce overlapping
-  /// pairs, which the injector's idempotent transitions absorb.
-  FaultPlan& link_flaps(std::size_t receiver, sim::SimTime start,
-                        sim::SimTime period, sim::SimTime down_time,
-                        int count);
+  /// Trunk flap schedule: `count` down/up pairs, the k-th going down
+  /// at `start + k*period` and returning `down_time` later. Periods
+  /// shorter than the down time produce overlapping pairs, which the
+  /// injector's idempotent transitions absorb.
   FaultPlan& trunk_flaps(std::size_t group, sim::SimTime start,
                          sim::SimTime period, sim::SimTime down_time,
                          int count, sim::SimTime reconverge = 0);

@@ -44,7 +44,6 @@ class GilbertElliott {
     return rng_.chance(bad_ ? cfg_.loss_bad : cfg_.loss_good);
   }
 
-  [[nodiscard]] bool in_bad_state() const { return bad_; }
   [[nodiscard]] const GilbertElliottConfig& config() const { return cfg_; }
   [[nodiscard]] std::uint64_t rng_digest() const { return rng_.digest(); }
 
@@ -93,7 +92,6 @@ class WirelessLoss {
     return rng_.chance(bad_ ? cfg_.loss_bad : cfg_.loss_good);
   }
 
-  [[nodiscard]] bool in_fade() const { return bad_; }
   [[nodiscard]] const WirelessLossConfig& config() const { return cfg_; }
   [[nodiscard]] std::uint64_t rng_digest() const { return rng_.digest(); }
 

@@ -102,7 +102,6 @@ class Nic final : public PacketSink {
     if (!disturb_) disturb_.emplace(seed);
     return *disturb_;
   }
-  void clear_disturb() { disturb_.reset(); }
   [[nodiscard]] Disturber* disturb() {
     return disturb_ ? &*disturb_ : nullptr;
   }

@@ -197,10 +197,4 @@ void Router::service(PacketSink* egress, Port& port) {
                          });
 }
 
-std::size_t Router::queue_len() const {
-  std::size_t total = 0;
-  for (const auto& [sink, port] : ports_) total += port.queue.size();
-  return total;
-}
-
 }  // namespace hrmc::net

@@ -96,7 +96,6 @@ class Router final : public PacketSink {
     if (!disturb_) disturb_.emplace(seed);
     return *disturb_;
   }
-  void clear_disturb() { disturb_.reset(); }
   [[nodiscard]] Disturber* disturb() {
     return disturb_ ? &*disturb_ : nullptr;
   }
@@ -143,8 +142,6 @@ class Router final : public PacketSink {
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
   [[nodiscard]] const std::string& name() const { return name_; }
-  /// Total packets queued across all egress ports.
-  [[nodiscard]] std::size_t queue_len() const;
 
   /// Attaches a trace sink reporting enqueues and drops (with reason).
   void set_trace(trace::TraceSink sink) { trace_ = sink; }

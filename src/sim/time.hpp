@@ -41,10 +41,6 @@ constexpr double to_milliseconds(SimTime t) {
   return static_cast<double>(t) / static_cast<double>(kMillisecond);
 }
 
-constexpr double to_microseconds(SimTime t) {
-  return static_cast<double>(t) / static_cast<double>(kMicrosecond);
-}
-
 /// Time a serializer needs to emit `bytes` at `bits_per_second`.
 /// Rounds up so back-to-back packets never overlap on a link.
 constexpr SimTime transmission_time(std::int64_t bytes, double bits_per_second) {

@@ -8,8 +8,8 @@
 //    formatting, no clock syscalls (time comes from the simulator).
 //  - It must compile out entirely (HRMC_TRACING=0): call sites keep
 //    their shape but TraceSink::emit becomes an empty constexpr inline,
-//    so the hot-path gate (`micro_core` vs BENCH_baseline.json) is
-//    unaffected by the instrumentation's existence.
+//    so the hot-path gate (`micro_core --core-only` and its events/sec
+//    floors) is unaffected by the instrumentation's existence.
 //  - Records must be self-describing enough to replay: every record
 //    carries (time, host, kind, seq range, value, aux), and the host-id
 //    convention below is shared by the harness, the verifier, and

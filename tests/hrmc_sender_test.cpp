@@ -463,6 +463,33 @@ TEST_F(SenderTest, ProbeBookkeepingSurvivesSequenceWrap) {
   EXPECT_TRUE(snd_->finished());
 }
 
+TEST_F(SenderTest, NakAcrossSequenceWrapRetransmitsNamedRecordsInOrder) {
+  // The retransmitter walks the send window for a NAK's records. Across
+  // the 2^32 wrap the modular compare must still pick exactly the
+  // records the range overlaps, lowest first.
+  Config cfg;
+  cfg.initial_seq = static_cast<kern::Seq>(0) - 2500;
+  cfg.mss = 1000;
+  make_sender(cfg);
+  inject_from(0, PacketType::kJoin, cfg.initial_seq);
+  offer(5000);  // records start at -2500, -1500, -500 (spans 0), 500, 1500
+  run_for(sim::seconds(1));
+  ASSERT_EQ(tap_[0].of_type(PacketType::kData).size(), 5u);
+
+  // NAK [-1200, 700): it overlaps the second, third and fourth records.
+  const kern::Seq from = static_cast<kern::Seq>(0) - 1200;
+  inject_from(0, PacketType::kNak, cfg.initial_seq + 1000, from, 1900);
+  run_for(sim::milliseconds(200));
+
+  const std::vector<Header> data = tap_[0].of_type(PacketType::kData);
+  std::vector<kern::Seq> resent;
+  for (std::size_t i = 5; i < data.size(); ++i) resent.push_back(data[i].seq);
+  const std::vector<kern::Seq> want = {static_cast<kern::Seq>(0) - 1500,
+                                       static_cast<kern::Seq>(0) - 500, 500};
+  EXPECT_EQ(resent, want);
+  EXPECT_EQ(snd_->stats().retransmissions, 3u);
+}
+
 TEST_F(SenderTest, UnknownFeedbackSenderIsAdopted) {
   make_sender(Config{});
   // UPDATE from a receiver whose JOIN never arrived: adopted as member.

@@ -35,7 +35,7 @@ TEST(Cpu, IdleGapsDoNotAccumulate) {
   sim::SimTime done = 0;
   cpu.run(sim::microseconds(10), [] {});
   sched.run_until();
-  // 1 ms of idle passes; new work starts from "now", not busy_until.
+  // 1 ms of idle passes; new work starts "now", not at the last finish.
   sched.schedule_at(sim::milliseconds(1), [&] {
     cpu.run(sim::microseconds(10), [&] { done = sched.now(); });
   });
