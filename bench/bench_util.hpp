@@ -29,6 +29,34 @@ inline constexpr std::uint64_t kMiB = 1024 * 1024;
 /// the network; see DESIGN.md).
 inline constexpr double kSimAppReadBps = 64e6;
 
+/// Prints one panel of the simulation study (Figs 15 and 16): a row
+/// per buffer size, a column per Test 1-5, from results ordered as
+/// buffer_sweep() x Tests 1-5. A cell is the throughput, or the rate
+/// requests that reached the sender.
+inline void print_test_case_panel(
+    const char* title, const std::vector<harness::RunResult>& results,
+    bool rate_requests) {
+  std::cout << title << '\n';
+  harness::Table t({"buffer", "Test 1 (A)", "Test 2 (B)", "Test 3 (C)",
+                    "Test 4 (80B/20C)", "Test 5 (20B/80C)"});
+  std::size_t i = 0;
+  for (std::size_t buf : harness::buffer_sweep()) {
+    std::vector<std::string> row{harness::buf_label(buf)};
+    for (int tc = 1; tc <= 5; ++tc) {
+      const harness::RunResult& r = results[i++];
+      if (rate_requests) {
+        row.push_back(std::to_string(r.sender.rate_requests_received));
+      } else {
+        row.push_back(r.completed ? harness::fmt(r.throughput_mbps, 2)
+                                  : "DNF");
+      }
+    }
+    t.add_row(std::move(row));
+  }
+  t.print(std::cout);
+  std::cout << '\n';
+}
+
 /// Sweep driver for the figure binaries: batches a panel's independent
 /// (Scenario, seed) cells through the ParallelRunner — results come
 /// back in input order and each cell is bit-for-bit the run the serial

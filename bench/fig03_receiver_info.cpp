@@ -15,7 +15,7 @@ using namespace hrmc::bench;
 
 namespace {
 
-RunResult run_one(int test_case, std::size_t buf, proto::Mode mode) {
+Scenario cell(int test_case, std::size_t buf, proto::Mode mode) {
   Workload wl;
   wl.file_bytes = 4 * kMiB;
   wl.sink_read_rate_bps = kSimAppReadBps;
@@ -23,7 +23,7 @@ RunResult run_one(int test_case, std::size_t buf, proto::Mode mode) {
                                    kBenchSeed + test_case);
   sc.proto.mode = mode;
   sc.time_limit = sim::seconds(3600);
-  return run_transfer(sc);
+  return sc;
 }
 
 }  // namespace
@@ -32,22 +32,29 @@ int main() {
   banner("Figure 3: complete receiver information at buffer release",
          "10 receivers, 10 Mbps, 4 MB transfer; cell = % of release\n"
          "decisions taken with state from every receiver in hand");
+  Sweep sweep("fig03");
 
-  const struct {
-    const char* label;
-    int test_case;
-  } envs[] = {{"LAN (0.005%)", 1}, {"MAN (0.5%)", 2}, {"WAN (2%)", 3}};
+  // Tests 1-3 (LAN, MAN, WAN) are the columns.
+  constexpr proto::Mode kModes[] = {proto::Mode::kRmc, proto::Mode::kHrmc};
 
-  for (proto::Mode mode : {proto::Mode::kRmc, proto::Mode::kHrmc}) {
+  std::vector<Scenario> cells;
+  for (proto::Mode mode : kModes) {
+    for (std::size_t buf : buffer_sweep()) {
+      for (int tc = 1; tc <= 3; ++tc) cells.push_back(cell(tc, buf, mode));
+    }
+  }
+  const std::vector<RunResult> results = sweep.run(cells);
+
+  std::size_t i = 0;
+  for (proto::Mode mode : kModes) {
     std::cout << (mode == proto::Mode::kRmc
                       ? "(a) without updates (original RMC)\n"
                       : "(b) with updates (H-RMC)\n");
     Table t({"buffer", "LAN (0.005%)", "MAN (0.5%)", "WAN (2%)"});
     for (std::size_t buf : buffer_sweep()) {
       std::vector<std::string> row{buf_label(buf)};
-      for (const auto& env : envs) {
-        RunResult r = run_one(env.test_case, buf, mode);
-        row.push_back(fmt(r.complete_info_pct(), 1));
+      for (int tc = 1; tc <= 3; ++tc) {
+        row.push_back(fmt(results[i++].complete_info_pct(), 1));
       }
       t.add_row(std::move(row));
     }

@@ -21,17 +21,22 @@ Scenario cell(std::uint64_t file_bytes, std::size_t buf, int n) {
                       kBenchSeed + static_cast<std::uint64_t>(n));
 }
 
-void panel(const char* title, std::uint64_t file_bytes) {
+void panel(Sweep& sweep, const char* title, std::uint64_t file_bytes) {
+  std::vector<Scenario> cells;
+  for (std::size_t buf : buffer_sweep_extended()) {
+    for (int n = 1; n <= 3; ++n) cells.push_back(cell(file_bytes, buf, n));
+  }
+  const std::vector<RunResult> results = sweep.run(cells);
+
   std::cout << title << '\n';
   Table t({"buffer", "NAKs (1 rcvr)", "NAKs (2)", "NAKs (3)",
            "tx drops (1 rcvr)"});
+  std::size_t i = 0;
   for (std::size_t buf : buffer_sweep_extended()) {
     std::vector<std::string> row{buf_label(buf)};
-    std::uint64_t drops_one = 0;
+    const std::uint64_t drops_one = results[i].sender_nic.tx_ring_drops;
     for (int n = 1; n <= 3; ++n) {
-      RunResult r = run_transfer(cell(file_bytes, buf, n));
-      row.push_back(std::to_string(r.sender.naks_received));
-      if (n == 1) drops_one = r.sender_nic.tx_ring_drops;
+      row.push_back(std::to_string(results[i++].sender.naks_received));
     }
     row.push_back(std::to_string(drops_one));
     t.add_row(std::move(row));
@@ -46,8 +51,8 @@ int main() {
   banner("Figure 13: NAK activity on the 100 Mbps network",
          "memory-to-memory; note the change past 1024K buffers");
   Sweep sweep("fig13");
-  panel("(a) NAK activity, 10 MB file", 10 * kMiB);
-  panel("(b) NAK activity, 40 MB file", 40 * kMiB);
+  panel(sweep, "(a) NAK activity, 10 MB file", 10 * kMiB);
+  panel(sweep, "(b) NAK activity, 40 MB file", 40 * kMiB);
 
   // NAK-over-time curve for the largest-buffer cell — the regime where
   // local tx drops (and hence NAKs) actually appear.

@@ -25,29 +25,13 @@ Scenario cell(int test_case, int receivers, std::size_t buf) {
   return sc;
 }
 
-void panel(Sweep& sweep, int receivers, bool rate_requests) {
+/// Runs the 25 cells (buffer sizes x Tests 1-5) with `receivers` each.
+std::vector<RunResult> run_cells(Sweep& sweep, int receivers) {
   std::vector<Scenario> cells;
   for (std::size_t buf : buffer_sweep()) {
     for (int tc = 1; tc <= 5; ++tc) cells.push_back(cell(tc, receivers, buf));
   }
-  const std::vector<RunResult> results = sweep.run(cells);
-  Table t({"buffer", "Test 1 (A)", "Test 2 (B)", "Test 3 (C)",
-           "Test 4 (80B/20C)", "Test 5 (20B/80C)"});
-  std::size_t i = 0;
-  for (std::size_t buf : buffer_sweep()) {
-    std::vector<std::string> row{buf_label(buf)};
-    for (int tc = 1; tc <= 5; ++tc) {
-      const RunResult& r = results[i++];
-      if (rate_requests) {
-        row.push_back(std::to_string(r.sender.rate_requests_received));
-      } else {
-        row.push_back(r.completed ? fmt(r.throughput_mbps, 2) : "DNF");
-      }
-    }
-    t.add_row(std::move(row));
-  }
-  t.print(std::cout);
-  std::cout << '\n';
+  return sweep.run(cells);
 }
 
 }  // namespace
@@ -56,11 +40,12 @@ int main() {
   banner("Figure 15: H-RMC on a 10 Mbps network (simulated)",
          "10 MB transfer across the Fig-14 receiver mixes");
   Sweep sweep("fig15");
-  std::cout << "(a) throughput, 10 receivers (Mbps)\n";
-  panel(sweep, 10, false);
-  std::cout << "(b) rate reduce requests, 10 receivers (count)\n";
-  panel(sweep, 10, true);
-  std::cout << "(c) throughput, 100 receivers (Mbps)\n";
-  panel(sweep, 100, false);
+  // Panels (a) and (b) read the same runs.
+  const std::vector<RunResult> ten = run_cells(sweep, 10);
+  print_test_case_panel("(a) throughput, 10 receivers (Mbps)", ten, false);
+  print_test_case_panel("(b) rate reduce requests, 10 receivers (count)",
+                        ten, true);
+  print_test_case_panel("(c) throughput, 100 receivers (Mbps)",
+                        run_cells(sweep, 100), false);
   return 0;
 }

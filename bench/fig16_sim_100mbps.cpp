@@ -12,7 +12,8 @@ using namespace hrmc::bench;
 
 namespace {
 
-void panel(Sweep& sweep, bool rate_requests) {
+/// Runs the 25 cells (buffer sizes x Tests 1-5) once.
+std::vector<RunResult> run_cells(Sweep& sweep) {
   std::vector<Scenario> cells;
   for (std::size_t buf : buffer_sweep()) {
     for (int tc = 1; tc <= 5; ++tc) {
@@ -25,24 +26,7 @@ void panel(Sweep& sweep, bool rate_requests) {
       cells.push_back(std::move(sc));
     }
   }
-  const std::vector<RunResult> results = sweep.run(cells);
-  Table t({"buffer", "Test 1 (A)", "Test 2 (B)", "Test 3 (C)",
-           "Test 4 (80B/20C)", "Test 5 (20B/80C)"});
-  std::size_t i = 0;
-  for (std::size_t buf : buffer_sweep()) {
-    std::vector<std::string> row{buf_label(buf)};
-    for (int tc = 1; tc <= 5; ++tc) {
-      const RunResult& r = results[i++];
-      if (rate_requests) {
-        row.push_back(std::to_string(r.sender.rate_requests_received));
-      } else {
-        row.push_back(r.completed ? fmt(r.throughput_mbps, 2) : "DNF");
-      }
-    }
-    t.add_row(std::move(row));
-  }
-  t.print(std::cout);
-  std::cout << '\n';
+  return sweep.run(cells);
 }
 
 }  // namespace
@@ -52,9 +36,9 @@ int main() {
          "10 MB transfer, 10 receivers, Fig-14 mixes; application reads\n"
          "at the same fixed rate as in the 10 Mbps study");
   Sweep sweep("fig16");
-  std::cout << "(a) throughput (Mbps)\n";
-  panel(sweep, false);
-  std::cout << "(b) rate reduce requests (count)\n";
-  panel(sweep, true);
+  // Both panels read the same runs.
+  const std::vector<RunResult> results = run_cells(sweep);
+  print_test_case_panel("(a) throughput (Mbps)", results, false);
+  print_test_case_panel("(b) rate reduce requests (count)", results, true);
   return 0;
 }

@@ -16,6 +16,15 @@ using kern::seq_max;
 using proto::Header;
 using proto::PacketType;
 
+namespace {
+
+constexpr std::size_t kInitCwndSegments = 2;
+/// RTT estimate before the first sample.
+constexpr sim::SimTime kInitialRtt = sim::milliseconds(100);
+constexpr sim::SimTime kMinRto = sim::milliseconds(20);
+
+}  // namespace
+
 // --------------------------------------------------------------------
 // Sender
 // --------------------------------------------------------------------
@@ -26,9 +35,9 @@ MiniTcpSender::MiniTcpSender(net::Host& host, const MiniTcpConfig& cfg,
       cfg_(cfg),
       local_port_(local_port),
       peer_(peer),
-      cwnd_(cfg.init_cwnd_segments * cfg.mss),
+      cwnd_(kInitCwndSegments * cfg.mss),
       ssthresh_(cfg.sndbuf),
-      rtt_(cfg.initial_rtt, sim::microseconds(100)),
+      rtt_(kInitialRtt, sim::microseconds(100)),
       rto_timer_(host.scheduler(), [this] { rto_fire(); }) {
   snd_una_ = snd_nxt_ = cfg_.initial_seq;
   host_.register_transport(kIpProtoMiniTcp, this);
@@ -198,7 +207,7 @@ void MiniTcpSender::arm_rto() {
     return;
   }
   const sim::SimTime rto =
-      std::max(cfg_.min_rto, rtt_.rto()) * rto_backoff_factor_;
+      std::max(kMinRto, rtt_.rto()) * rto_backoff_factor_;
   rto_timer_.mod_timer_in(
       std::max<kern::Jiffies>(1, kern::to_jiffies(rto)));
 }

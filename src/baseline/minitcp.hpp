@@ -28,9 +28,6 @@ struct MiniTcpConfig {
   std::size_t sndbuf = 256 * 1024;
   std::size_t rcvbuf = 256 * 1024;
   std::size_t mss = 1460;
-  std::size_t init_cwnd_segments = 2;
-  sim::SimTime initial_rtt = sim::milliseconds(100);
-  sim::SimTime min_rto = sim::milliseconds(20);
   static constexpr kern::Seq kInitialSeq = 1;
   /// First sequence number of the stream. Both ends must agree (there
   /// is no SYN exchange). Tests set this near 2^32 to exercise the
@@ -106,7 +103,6 @@ class MiniTcpSender final : public net::Transport {
   std::size_t cwnd_;
   std::size_t ssthresh_;
   int dupacks_ = 0;
-  kern::Seq last_ack_ = 0;
 
   proto::RttEstimator rtt_;
   sim::SimTime rto_backoff_factor_ = 1;

@@ -388,12 +388,9 @@ RunResult run_transfer(const Scenario& sc) {
           trace::SamplePoint p;
           p.rate_bps = snd.current_rate();
           p.send_window_bytes = static_cast<double>(snd.queued_bytes());
-          p.stalled = snd.window_stalled() ? 1 : 0;
           p.naks_received = static_cast<double>(snd.stats().naks_received);
           p.rate_requests_received =
               static_cast<double>(snd.stats().rate_requests_received);
-          p.updates_received =
-              static_cast<double>(snd.stats().updates_received);
           p.retransmissions =
               static_cast<double>(snd.stats().retransmissions);
           for (const auto& r : rcv_socks) {

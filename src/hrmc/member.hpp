@@ -43,9 +43,6 @@ struct McMember {
   /// an aggregating repairer or modeled population. next_expected is
   /// then the *minimum* over the represented leaves.
   std::uint32_t multiplicity = 1;
-  /// True once any feedback has arrived from this receiver; before that
-  /// `next_expected` is only an optimistic initial value.
-  bool heard_from = false;
   sim::SimTime last_heard = 0;
   /// Last time a PROBE was unicast to this member (probe pacing).
   sim::SimTime last_probed = -1;

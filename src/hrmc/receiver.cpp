@@ -968,7 +968,6 @@ void HrmcReceiver::process_join_response(const Header& h) {
       fec_parity_cache_.clear();
       fec_fail_noted_ = false;
       resync_pending_ = false;
-      ++resyncs_;
       trace_.emit(trace::EventKind::kResync, rcv_nxt_, rcv_nxt_,
                   host_.addr());
     }

@@ -89,10 +89,6 @@ class HrmcReceiver final : public net::Transport {
   /// JOIN, instead of NAKing history that may already be released.
   void restart();
 
-  [[nodiscard]] bool crashed() const { return crashed_; }
-  /// Completed crash-restart resyncs (JOIN_RESPONSE re-anchored us).
-  [[nodiscard]] std::uint64_t resyncs() const { return resyncs_; }
-
   // --- Application interface (hrmc_recvmsg) ---
 
   /// Copies up to out.size() in-order bytes to the application.
@@ -367,7 +363,6 @@ class HrmcReceiver final : public net::Transport {
   // JOIN_RESPONSE is ignored.
   bool crashed_ = false;
   bool resync_pending_ = false;
-  std::uint64_t resyncs_ = 0;
 
   JoinState join_state_ = JoinState::kIdle;
   sim::SimTime join_sent_at_ = 0;

@@ -241,7 +241,6 @@ void HrmcSender::transmit_pump() {
 }
 
 std::uint64_t HrmcSender::send_new_data(std::uint64_t budget) {
-  const sim::SimTime now = host_.scheduler().now();
   while (first_unsent_ < write_queue_.size()) {
     TxRecord& rec = write_queue_[first_unsent_];
     const std::size_t plen = payload_len(rec);
@@ -249,7 +248,6 @@ std::uint64_t HrmcSender::send_new_data(std::uint64_t budget) {
     if (dev_credit_ == 0) break;  // device queue full: requeue for next jiffy
     --dev_credit_;
     transmit_record(rec, /*retransmission=*/false);
-    rec.first_sent = now;
     snd_sent_ = seq_max(snd_sent_, rec.seq_end);
     ++first_unsent_;
     budget -= plen;
@@ -774,7 +772,6 @@ McMember* HrmcSender::refresh_member(net::Addr addr, Seq next_expected,
   }
   const sim::SimTime now = host_.scheduler().now();
   members_.advance(m, next_expected);
-  m->heard_from = true;
   m->last_heard = now;
   if (m->probe_pending) {
     if (solicited) {
@@ -995,7 +992,6 @@ void HrmcSender::process_agg_update(const Header& h, net::Addr from) {
   const sim::SimTime now = host_.scheduler().now();
   members_.set_position(m, pos);
   members_.set_multiplicity(m, std::max<std::uint32_t>(h.rate, 1));
-  m->heard_from = true;
   m->last_heard = now;
   if (m->probe_pending) {
     if (h.urg) {
@@ -1031,7 +1027,6 @@ void HrmcSender::process_join(const Header& h, net::Addr from) {
     stats_.resync_joins_received++;
     McMember* m = members_.find(from);
     if (m == nullptr) m = members_.add(from, snd_nxt_);
-    m->heard_from = true;
     m->last_heard = host_.scheduler().now();
     m->probe_pending = false;
     m->probe_retries = 0;

@@ -115,7 +115,6 @@ class HrmcSender final : public net::Transport {
     kern::Seq seq_begin = 0;
     kern::Seq seq_end = 0;  ///< one past the last byte
     kern::SkBuffPtr payload;
-    sim::SimTime first_sent = 0;
     sim::SimTime last_sent = 0;
     sim::SimTime last_retrans = kNever;
     std::uint8_t tries = 0;

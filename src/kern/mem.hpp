@@ -86,14 +86,12 @@ class MemAccountant {
   void set_squeeze(double fraction) {
     squeeze_ = std::clamp(fraction, 0.0, 0.95);
   }
-  [[nodiscard]] double squeeze() const { return squeeze_; }
 
   /// GFP_ATOMIC-style probabilistic failure: while p > 0 every fallible
   /// charge/admission first draws Bernoulli(p) and refuses on success.
   void set_alloc_fail_prob(double p) {
     fail_prob_ = std::clamp(p, 0.0, 1.0);
   }
-  [[nodiscard]] double alloc_fail_prob() const { return fail_prob_; }
 
   [[nodiscard]] std::uint64_t budget() const { return budget_; }
   [[nodiscard]] std::uint64_t effective_budget() const {
@@ -150,10 +148,6 @@ class MemAccountant {
     const auto it = ledgers_.find(host);
     return it == ledgers_.end() ? 0 : it->second.live;
   }
-  [[nodiscard]] std::uint64_t peak(std::uint32_t host) const {
-    const auto it = ledgers_.find(host);
-    return it == ledgers_.end() ? 0 : it->second.peak;
-  }
   [[nodiscard]] std::uint64_t component(std::uint32_t host,
                                         MemComponent c) const {
     const auto it = ledgers_.find(host);
@@ -180,7 +174,6 @@ class MemAccountant {
  private:
   struct Ledger {
     std::uint64_t live = 0;
-    std::uint64_t peak = 0;
     std::uint64_t by_component[kMemComponentCount] = {};
   };
 
@@ -204,7 +197,6 @@ class MemAccountant {
     Ledger& l = ledgers_[host];
     l.live += bytes;
     l.by_component[static_cast<std::size_t>(c)] += bytes;
-    if (l.live > l.peak) l.peak = l.live;
     if (l.live > global_peak_) global_peak_ = l.live;
     ++counters_.charges;
   }

@@ -291,14 +291,4 @@ void SkBuffQueue::clear() {
   bytes_ = 0;
 }
 
-SkBuffQueue::iterator SkBuffQueue::erase(iterator it) {
-  bytes_ -= (*it)->size();
-  return items_.erase(it);
-}
-
-void SkBuffQueue::insert(iterator it, SkBuffPtr skb) {
-  bytes_ += skb->size();
-  items_.insert(it, std::move(skb));
-}
-
 }  // namespace hrmc::kern

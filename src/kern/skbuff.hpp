@@ -30,8 +30,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "sim/time.hpp"
-
 namespace hrmc::kern {
 
 class SkBuff;
@@ -125,8 +123,7 @@ class SkBuff {
   /// Clone constructor: shares the block (caller already bumped refs).
   SkBuff(Private, const SkBuff& o, detail::SkbBlock* shared_block)
       : saddr(o.saddr), daddr(o.daddr), protocol(o.protocol), ttl(o.ttl),
-        stamp(o.stamp), serial(o.serial), block_(shared_block),
-        head_(o.head_), len_(o.len_) {}
+        block_(shared_block), head_(o.head_), len_(o.len_) {}
 
   /// O(1) clone (Linux skb_clone): the returned buffer shares this
   /// one's data block and copies the view offsets and metadata. Used at
@@ -200,8 +197,6 @@ class SkBuff {
   std::uint32_t daddr = 0;    ///< destination IPv4 address (may be mcast)
   std::uint8_t protocol = 0;  ///< transport protocol id
   std::uint8_t ttl = 64;      ///< forwarding budget
-  sim::SimTime stamp = 0;     ///< timestamp set on transmit/arrival
-  std::uint64_t serial = 0;   ///< unique id for tracing (set by net layer)
 
   /// Total on-wire size used by links/queues for serialization and byte
   /// accounting: payload plus the simulated lower-layer (IP + MAC) framing.
@@ -226,12 +221,9 @@ class SkBuff {
 };
 
 /// sk_buff_head analogue: FIFO queue of buffers with O(1) byte accounting,
-/// used for the write/backlog/receive/out-of-order queues in the protocol.
+/// used for the receivers' in-order receive queues.
 class SkBuffQueue {
  public:
-  using iterator = std::deque<SkBuffPtr>::iterator;
-  using const_iterator = std::deque<SkBuffPtr>::const_iterator;
-
   void push_back(SkBuffPtr skb);
   void push_front(SkBuffPtr skb);
 
@@ -239,7 +231,6 @@ class SkBuffQueue {
   SkBuffPtr pop_front();
 
   [[nodiscard]] const SkBuffPtr& front() const { return items_.front(); }
-  [[nodiscard]] const SkBuffPtr& back() const { return items_.back(); }
   [[nodiscard]] bool empty() const { return items_.empty(); }
   [[nodiscard]] std::size_t packets() const { return items_.size(); }
 
@@ -249,21 +240,6 @@ class SkBuffQueue {
   [[nodiscard]] std::size_t bytes() const { return bytes_; }
 
   void clear();
-
-  [[nodiscard]] const_iterator begin() const { return items_.begin(); }
-  [[nodiscard]] const_iterator end() const { return items_.end(); }
-  [[nodiscard]] iterator begin() { return items_.begin(); }
-  [[nodiscard]] iterator end() { return items_.end(); }
-
-  /// Removes the buffer at `it`, maintaining byte accounting. Returns the
-  /// iterator following the erased element.
-  iterator erase(iterator it);
-
-  /// Inserts before `it`. Sorted consumers (the out-of-order queues)
-  /// should locate `it` by scanning from the *tail*: packets
-  /// overwhelmingly arrive in order, so the right insertion point is at
-  /// or near the back, and a tail scan is O(1) in the common case.
-  void insert(iterator it, SkBuffPtr skb);
 
  private:
   std::deque<SkBuffPtr> items_;

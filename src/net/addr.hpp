@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace hrmc::net {
 
@@ -18,10 +17,6 @@ constexpr Addr make_addr(unsigned a, unsigned b, unsigned c, unsigned d) {
 /// Class-D (224.0.0.0/4) test, same as IN_MULTICAST.
 constexpr bool is_multicast(Addr a) { return (a >> 28) == 0xe; }
 
-inline constexpr Addr kAddrAny = 0;
-
-std::string addr_to_string(Addr a);
-
 /// Transport endpoint: address plus port.
 struct Endpoint {
   Addr addr = 0;
@@ -29,7 +24,5 @@ struct Endpoint {
 
   friend bool operator==(const Endpoint&, const Endpoint&) = default;
 };
-
-std::string endpoint_to_string(const Endpoint& e);
 
 }  // namespace hrmc::net

@@ -15,7 +15,6 @@ namespace hrmc::net {
 void Host::send(kern::SkBuffPtr skb) {
   if (nic_ == nullptr || down_) return;
   skb->saddr = addr_;
-  skb->serial = next_serial_++;
   const sim::SimTime cost = Cpu::hrmc_cost(skb->size());
   cpu_.run(cost, [this, skb = std::move(skb)]() mutable {
     sched_->schedule_after(Cpu::lower_layer_cost(),

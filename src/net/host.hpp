@@ -95,7 +95,6 @@ class Host final : public PacketSink {
   Nic* nic_ = nullptr;
   GroupControl* group_control_ = nullptr;
   std::unordered_map<std::uint8_t, Transport*> transports_;
-  std::uint64_t next_serial_ = 1;
 };
 
 }  // namespace hrmc::net

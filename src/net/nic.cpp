@@ -61,10 +61,7 @@ void Nic::drain_tx() {
   // draining back-to-back.
   sched_->schedule_after(
       serialize, [this, skb = std::move(skb)]() mutable {
-        if (uplink_ != nullptr) {
-          skb->stamp = sched_->now();
-          uplink_->deliver(std::move(skb));
-        }
+        if (uplink_ != nullptr) uplink_->deliver(std::move(skb));
         drain_tx();
       });
 }
@@ -81,12 +78,6 @@ void Nic::deliver(kern::SkBuffPtr skb) {
     ++counters_.rx_loss_drops;
     trace_.emit(trace::EventKind::kDrop, 0, 0, skb->wire_size(),
                 static_cast<std::uint32_t>(trace::DropReason::kLoss));
-    return;
-  }
-  if (burst_loss_ && burst_loss_->drop()) {
-    ++counters_.burst_loss_drops;
-    trace_.emit(trace::EventKind::kDrop, 0, 0, skb->wire_size(),
-                static_cast<std::uint32_t>(trace::DropReason::kBurstLoss));
     return;
   }
   if (wireless_loss_ && wireless_loss_->drop(sched_->now())) {
@@ -108,46 +99,13 @@ void Nic::deliver(kern::SkBuffPtr skb) {
                 static_cast<std::uint32_t>(trace::DropReason::kNoMem));
     return;
   }
-  // Adversarial disturbances (chaos engine): applied after the loss
-  // draws, per NIC, so they are *uncorrelated* across receivers —
-  // the complement of the router's correlated ingress stage.
-  sim::SimTime extra = 0;
-  if (disturb_ && disturb_->config().any()) {
-    if (disturb_->drop_control(*skb, classify_control_)) {
-      ++counters_.control_loss_drops;
-      trace_.emit(trace::EventKind::kDrop, 0, 0, skb->wire_size(),
-                  static_cast<std::uint32_t>(trace::DropReason::kControlLoss));
-      return;
-    }
-    if (disturb_->corrupt(*skb)) {
-      ++counters_.corrupted;
-      trace_.emit(trace::EventKind::kCorrupt, 0, 0, skb->wire_size());
-    }
-    if (disturb_->duplicate()) {
-      ++counters_.duplicated;
-      kern::SkBuffPtr dup = skb->clone();
-      sched_->schedule_after(cfg_.rx_delay,
-                             [this, dup = std::move(dup)]() mutable {
-                               if (host_ != nullptr) {
-                                 dup->stamp = sched_->now();
-                                 host_->deliver(std::move(dup));
-                               }
-                             });
-    }
-    extra = disturb_->extra_delay();
-    if (extra > 0) ++counters_.held;
-  }
   ++counters_.rx_packets;
   counters_.rx_bytes += skb->wire_size();
   // Hold for the assigned path delay (the characteristic-group delay in
   // the paper's simulation), then hand to the host stack.
-  sched_->schedule_after(cfg_.rx_delay + extra,
-                         [this, skb = std::move(skb)]() mutable {
-                           if (host_ != nullptr) {
-                             skb->stamp = sched_->now();
-                             host_->deliver(std::move(skb));
-                           }
-                         });
+  sched_->schedule_after(cfg_.rx_delay, [this, skb = std::move(skb)]() mutable {
+    if (host_ != nullptr) host_->deliver(std::move(skb));
+  });
 }
 
 }  // namespace hrmc::net

@@ -3,6 +3,9 @@
 // Mirrors the paper's simulation model (§5.2): the NIC receives packets
 // one at a time, holds each for its assigned delay, applies the
 // *uncorrelated* share of the path loss rate, and passes it to the host.
+// Correlated loss and adversarial disturbance belong to the group router
+// (net/router.hpp); the receive path here is link state, Bernoulli loss,
+// the optional wireless fade, memory admission, then rx_delay.
 // On the transmit side it owns a finite tx ring drained at link rate —
 // the mechanism behind the NAKs the paper observed with >1024K buffers on
 // the 100 Mbps network (Fig 13): a sender bursting more than the ring
@@ -15,7 +18,6 @@
 #include <string>
 
 #include "kern/jiffies.hpp"
-#include "net/disturb.hpp"
 #include "net/loss.hpp"
 #include "net/sink.hpp"
 #include "sim/random.hpp"
@@ -74,19 +76,9 @@ class Nic final : public PacketSink {
   void set_link_up(bool up) { link_up_ = up; }
   [[nodiscard]] bool link_up() const { return link_up_; }
 
-  /// Attaches a Gilbert–Elliott burst-loss model to the receive path,
-  /// alongside (not replacing) the Bernoulli rx_loss_rate. The model
-  /// owns its own RNG stream, so enabling it never perturbs the
-  /// Bernoulli draws.
-  void set_burst_loss(const GilbertElliottConfig& ge, std::uint64_t seed) {
-    burst_loss_.emplace(ge, seed);
-  }
-  void clear_burst_loss() { burst_loss_.reset(); }
-
   /// Attaches the 802.11-style wireless loss model to the receive path
   /// (correlated fade lengths + SNR-like modulation; see loss.hpp).
-  /// Coexists with both the Bernoulli rate and any burst-loss model,
-  /// each on its own RNG stream.
+  /// Coexists with the Bernoulli rate, on its own RNG stream.
   void set_wireless_loss(const WirelessLossConfig& wl, std::uint64_t seed) {
     wireless_loss_.emplace(wl, seed);
   }
@@ -94,18 +86,6 @@ class Nic final : public PacketSink {
   [[nodiscard]] const WirelessLoss* wireless_loss() const {
     return wireless_loss_ ? &*wireless_loss_ : nullptr;
   }
-
-  /// Adversarial behaviors on the receive path (reorder/duplicate/
-  /// corrupt/control-loss/jitter), mirroring Router::ensure_disturb but
-  /// *uncorrelated*: each NIC disturbs its own copy after fan-out.
-  Disturber& ensure_disturb(std::uint64_t seed) {
-    if (!disturb_) disturb_.emplace(seed);
-    return *disturb_;
-  }
-  [[nodiscard]] Disturber* disturb() {
-    return disturb_ ? &*disturb_ : nullptr;
-  }
-  void set_control_classifier(ControlClassifier c) { classify_control_ = c; }
 
   /// Per-card packet counts. Each direction closes: every packet
   /// offered is passed on, dropped under one named reason, or (tx only)
@@ -124,20 +104,14 @@ class Nic final : public PacketSink {
     std::uint64_t rx_bytes = 0;            ///< wire bytes of rx_packets
     std::uint64_t rx_link_down_drops = 0;
     std::uint64_t rx_loss_drops = 0;       ///< Bernoulli rx_loss_rate
-    std::uint64_t burst_loss_drops = 0;    ///< Gilbert–Elliott model
     std::uint64_t wireless_drops = 0;      ///< 802.11-style fade model
     std::uint64_t mem_drops = 0;           ///< refused by the accountant
-    std::uint64_t control_loss_drops = 0;  ///< disturber, control only
-    std::uint64_t corrupted = 0;           ///< disturbed, still passed on
-    std::uint64_t duplicated = 0;          ///< extra copies to the host
-    std::uint64_t held = 0;                ///< passed on with extra delay
 
     bool operator==(const Counters&) const = default;
 
     [[nodiscard]] bool rx_conserved() const {
       return rx_offered == rx_packets + rx_link_down_drops + rx_loss_drops +
-                               burst_loss_drops + wireless_drops + mem_drops +
-                               control_loss_drops;
+                               wireless_drops + mem_drops;
     }
     /// `in_ring`: packets still waiting in the tx ring (tx_queue_len()).
     [[nodiscard]] bool tx_conserved(std::uint64_t in_ring) const {
@@ -172,15 +146,13 @@ class Nic final : public PacketSink {
     mem_host_ = host_key;
   }
 
-  /// Folded end-state of every RNG this NIC owns (Bernoulli loss, burst
-  /// loss, wireless fade, disturber) — part of RunResult::rng_digest.
+  /// Folded end-state of every RNG this NIC owns (Bernoulli loss and
+  /// wireless fade) — part of RunResult::rng_digest.
   [[nodiscard]] std::uint64_t rng_digest() const {
     std::uint64_t acc = loss_rng_.digest();
-    if (burst_loss_) acc = sim::digest_mix(acc, burst_loss_->rng_digest());
     if (wireless_loss_) {
       acc = sim::digest_mix(acc, wireless_loss_->rng_digest());
     }
-    if (disturb_) acc = sim::digest_mix(acc, disturb_->rng_digest());
     return acc;
   }
 
@@ -197,12 +169,9 @@ class Nic final : public PacketSink {
   std::deque<kern::SkBuffPtr> tx_queue_;
   bool tx_busy_ = false;
   bool link_up_ = true;
-  std::optional<GilbertElliott> burst_loss_;
   std::optional<WirelessLoss> wireless_loss_;
-  std::optional<Disturber> disturb_;
   kern::MemAccountant* mem_ = nullptr;
   std::uint32_t mem_host_ = 0;
-  ControlClassifier classify_control_ = nullptr;
   std::int64_t burst_jiffy_ = -1;
   std::size_t burst_count_ = 0;
   std::size_t burst_prev_ = 0;

@@ -96,9 +96,6 @@ class Router final : public PacketSink {
     if (!disturb_) disturb_.emplace(seed);
     return *disturb_;
   }
-  [[nodiscard]] Disturber* disturb() {
-    return disturb_ ? &*disturb_ : nullptr;
-  }
 
   /// Protocol-aware control-packet classifier for control-plane-only
   /// loss (net stays protocol-agnostic; the harness supplies this).

@@ -14,7 +14,6 @@ namespace hrmc::sim {
 /// Absolute virtual time or a duration, in nanoseconds.
 using SimTime = std::int64_t;
 
-inline constexpr SimTime kNanosecond = 1;
 inline constexpr SimTime kMicrosecond = 1'000;
 inline constexpr SimTime kMillisecond = 1'000'000;
 inline constexpr SimTime kSecond = 1'000'000'000;

@@ -25,11 +25,9 @@ struct SamplePoint {
   double recv_region = 0;           ///< worst flow-control region (0/1/2)
   double nak_list_ranges = 0;       ///< pending NAK ranges, all receivers
   double update_period_jiffies = 0; ///< max over receivers
-  double stalled = 0;               ///< 1 while the release gate is stalled
   // Cumulative feedback counters at the sender.
   double naks_received = 0;
   double rate_requests_received = 0;
-  double updates_received = 0;
   double retransmissions = 0;
 };
 

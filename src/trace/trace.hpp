@@ -6,10 +6,10 @@
 //  - Emission must be cheap enough to leave on during benches: one
 //    32-byte POD store into a preallocated ring, no allocation, no
 //    formatting, no clock syscalls (time comes from the simulator).
-//  - It must compile out entirely (HRMC_TRACING=0): call sites keep
-//    their shape but TraceSink::emit becomes an empty constexpr inline,
-//    so the hot-path gate (`micro_core --core-only` and its events/sec
-//    floors) is unaffected by the instrumentation's existence.
+//  - There is one build: trace points are always compiled in, so
+//    trace::verify and the chaos oracle can check any run. A sink with
+//    no ring costs one null test per call site (DESIGN.md §10 gives
+//    the measured cost).
 //  - Records must be self-describing enough to replay: every record
 //    carries (time, host, kind, seq range, value, aux), and the host-id
 //    convention below is shared by the harness, the verifier, and
@@ -29,15 +29,7 @@
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 
-#ifndef HRMC_TRACING
-#define HRMC_TRACING 1
-#endif
-
 namespace hrmc::trace {
-
-/// True when trace points are compiled in. Tests that need a populated
-/// ring skip themselves when the build has tracing compiled out.
-inline constexpr bool kEnabled = HRMC_TRACING != 0;
 
 /// What happened. Grouped by emitting layer; values are stable wire
 /// numbers (the JSONL dump and check_trace.py key off the names).
@@ -186,7 +178,6 @@ class TraceRing {
   }
 
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
-  [[nodiscard]] std::size_t capacity() const { return cap_; }
   /// Oldest records overwritten because the ring wrapped.
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
 
@@ -216,14 +207,10 @@ class TraceRing {
 
 /// What a traced component holds: the ring, the clock, and its own host
 /// id. Copyable by value; a default-constructed (or null-ring) sink is
-/// inert. With HRMC_TRACING=0 the whole thing collapses to an empty
-/// struct whose emit() the compiler deletes — call sites are identical
-/// in both builds.
+/// inert.
 class TraceSink {
  public:
   TraceSink() = default;
-
-#if HRMC_TRACING
   TraceSink(TraceRing* ring, sim::Scheduler* sched, std::uint16_t host)
       : ring_(ring), sched_(sched), host_(host) {}
 
@@ -257,17 +244,6 @@ class TraceSink {
   TraceRing* ring_ = nullptr;
   sim::Scheduler* sched_ = nullptr;
   std::uint16_t host_ = 0;
-#else
-  TraceSink(TraceRing*, sim::Scheduler*, std::uint16_t) {}
-
-  [[nodiscard]] static constexpr bool active() { return false; }
-
-  constexpr void emit(EventKind, kern::Seq, kern::Seq, std::uint64_t,
-                      std::uint32_t = 0, std::uint8_t = 0) const {}
-  constexpr void emit_as(std::uint16_t, EventKind, kern::Seq, kern::Seq,
-                         std::uint64_t, std::uint32_t = 0,
-                         std::uint8_t = 0) const {}
-#endif
 };
 
 }  // namespace hrmc::trace

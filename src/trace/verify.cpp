@@ -64,6 +64,10 @@ const char* kind_name(EventKind k) {
 
 namespace {
 
+/// Stop collecting violation strings past this many (the counters keep
+/// counting).
+constexpr std::size_t kMaxViolations = 32;
+
 /// Per-receiver view for the release-safety invariant.
 struct RcvState {
   bool armed = false;   ///< kJoined seen: participates in the gate
@@ -96,7 +100,7 @@ class Verifier {
   void violate(const TraceRecord& r, const std::string& what) {
     res_.ok = false;
     ++res_.violation_count;
-    if (res_.violations.size() < opt_.max_violations) {
+    if (res_.violations.size() < kMaxViolations) {
       res_.violations.push_back(
           "t=" + std::to_string(r.t) + " host=" + std::to_string(r.host) +
           " " + kind_name(r.kind) + ": " + what);
@@ -414,7 +418,7 @@ class Verifier {
       if (end - p.first_emit > opt_.nak_answer_bound) {
         res_.ok = false;
         ++res_.violation_count;
-        if (res_.violations.size() < opt_.max_violations) {
+        if (res_.violations.size() < kMaxViolations) {
           res_.violations.push_back(
               "trace end: NAK from host " + std::to_string(p.host) +
               " for [" + std::to_string(p.from) + "," +

@@ -62,15 +62,12 @@ struct VerifyOptions {
   /// response. Generous by default: it is a liveness floor, not a
   /// latency SLO.
   sim::SimTime nak_answer_bound = sim::seconds(2);
-  /// Stop collecting violation strings past this many (the counters
-  /// keep counting).
-  std::size_t max_violations = 32;
 };
 
 struct VerifyResult {
   bool ok = true;
   std::uint64_t violation_count = 0;
-  std::vector<std::string> violations;  ///< first max_violations, rendered
+  std::vector<std::string> violations;  ///< the first 32, rendered
 
   // Work done, so a "pass" on an empty trace is distinguishable from a
   // pass that actually checked something.

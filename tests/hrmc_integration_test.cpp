@@ -119,6 +119,8 @@ TEST(Integration, SingleByteStream) {
   EXPECT_TRUE(s.snd->finished());
   EXPECT_EQ(s.delivered(0), 1u);
   EXPECT_EQ(s.delivered(1), 1u);
+  EXPECT_TRUE(r0->complete());
+  EXPECT_TRUE(r1->complete());
 }
 
 TEST(Integration, SequenceNumbersWrapAround) {
@@ -212,6 +214,7 @@ TEST(Integration, TwoSequentialTransfersOnFreshSockets) {
     s.sched.run_while([&] { return !s.snd->finished(); }, sim::seconds(60));
     EXPECT_TRUE(s.snd->finished()) << "round " << round;
     EXPECT_EQ(s.delivered(0), 64u * 1024);
+    EXPECT_TRUE(r->complete()) << "round " << round;
   }
 }
 

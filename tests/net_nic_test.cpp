@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "kern/mem.hpp"
+
 namespace hrmc::net {
 namespace {
 
@@ -102,26 +104,35 @@ TEST(Nic, TxRingExactFillBoundary) {
 
 TEST(Nic, RxAccountingClosesUnderLoss) {
   // Every packet offered on receive is passed on or dropped under
-  // exactly one named reason, with Bernoulli and burst loss both armed.
+  // exactly one named reason, with every receive drop reason armed:
+  // Bernoulli loss, a wireless fade, memory admission and link-down.
+  // Each count is nonzero, so the law fails if it loses any one term.
   sim::Scheduler sched;
   NicConfig cfg;
   cfg.rx_loss_rate = 0.2;
   Nic nic(sched, "n", cfg, 5);
   CaptureSink host(sched);
   nic.attach_host(&host);
-  GilbertElliottConfig ge;
-  ge.p_good_bad = 0.05;
-  ge.p_bad_good = 0.3;
-  nic.set_burst_loss(ge, 9);
+  WirelessLossConfig wl;
+  wl.p_good_bad = 0.05;
+  nic.set_wireless_loss(wl, 9);
+  // A budget below one full-size frame: every 1250-byte frame is
+  // refused, while control-sized frames pass from the rx reserve.
+  kern::MemAccountant mem(1000, 3);
+  nic.set_mem_admission(&mem, 1);
 
-  for (int i = 0; i < 1000; ++i) nic.deliver(make_packet(100));
+  for (int i = 0; i < 1000; ++i) {
+    nic.deliver(make_packet(i % 2 == 0 ? 100 : 1212));
+  }
   nic.set_link_up(false);
   for (int i = 0; i < 10; ++i) nic.deliver(make_packet(100));
   sched.run_until();
 
   const Nic::Counters& c = nic.counters();
+  EXPECT_GT(c.rx_packets, 0u);
   EXPECT_GT(c.rx_loss_drops, 0u);
-  EXPECT_GT(c.burst_loss_drops, 0u);
+  EXPECT_GT(c.wireless_drops, 0u);
+  EXPECT_GT(c.mem_drops, 0u);
   EXPECT_EQ(c.rx_link_down_drops, 10u);
   EXPECT_EQ(c.rx_offered, 1010u);
   EXPECT_TRUE(c.rx_conserved());
@@ -187,28 +198,6 @@ TEST(Nic, LinkUpResumesTraffic) {
   sched.run_until();
   EXPECT_EQ(up.packets.size(), 1u);
   EXPECT_EQ(nic.counters().tx_link_down_drops, 1u);
-}
-
-TEST(Nic, BurstLossDropsAtReceive) {
-  sim::Scheduler sched;
-  Nic nic(sched, "n", NicConfig{}, 1);
-  CaptureSink host(sched);
-  nic.attach_host(&host);
-
-  GilbertElliottConfig ge;
-  ge.p_good_bad = 1.0;  // immediately bad, stays bad
-  ge.p_bad_good = 0.0;
-  ge.loss_bad = 1.0;
-  nic.set_burst_loss(ge, 7);
-  for (int i = 0; i < 10; ++i) nic.deliver(make_packet(10));
-  sched.run_until();
-  EXPECT_TRUE(host.packets.empty());
-  EXPECT_EQ(nic.counters().burst_loss_drops, 10u);
-
-  nic.clear_burst_loss();
-  nic.deliver(make_packet(10));
-  sched.run_until();
-  EXPECT_EQ(host.packets.size(), 1u);
 }
 
 TEST(Nic, RxDelayApplied) {
