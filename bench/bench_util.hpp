@@ -103,9 +103,10 @@ class Sweep {
   harness::ParallelRunner runner_;
 };
 
-/// Runs one scenario with the tracer and time-series sampler switched
+/// Runs one scenario with the tracer and time-series sampling switched
 /// on and attaches the sampled curves to `sweep` under entry `name`:
-/// sample times, advertised rate, send-window occupancy, worst receiver
+/// sample times (every multiple of `sample_period`, on either engine;
+/// see TraceOptions), advertised rate, send-window occupancy, worst receiver
 /// occupancy / flow-control region / update period, total NAK backlog,
 /// and per-interval feedback deltas (NAKs, rate requests,
 /// retransmissions arriving at the sender). The traced run is an extra
@@ -122,7 +123,7 @@ inline harness::RunResult traced_cell(
   std::vector<double> t_s, rate_mbps, wnd, occ, region, backlog, period;
   std::vector<double> naks, reqs, retx;
   double p_naks = 0.0, p_reqs = 0.0, p_retx = 0.0;
-  for (const trace::SamplePoint& p : r.samples) {
+  for (const harness::SamplePoint& p : r.samples) {
     t_s.push_back(sim::to_seconds(p.t));
     rate_mbps.push_back(p.rate_bps * 8.0 / 1e6);  // bytes/s -> Mbit/s
     wnd.push_back(p.send_window_bytes);

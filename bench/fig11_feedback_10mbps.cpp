@@ -5,7 +5,7 @@
 // and buffer-insensitive; the 40 MB runs are noisier (I/O stalls).
 //
 // The printed tables are the paper's per-test totals. On top of that,
-// one traced cell per file size runs with the time-series sampler so
+// one traced cell per file size runs with time-series sampling on, so
 // BENCH_fig11.json carries the actual feedback-over-time curves
 // (rate_requests_per_interval, naks_per_interval, recv_region, ...) —
 // the panel the paper plots, not just its integral.

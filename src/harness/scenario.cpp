@@ -81,14 +81,6 @@ void add_counters(S& into, const S& from) {
 }  // namespace
 
 RunResult run_transfer(const Scenario& sc) {
-  if (sc.shard.enabled && sc.trace.enabled && sc.trace.sample_period > 0) {
-    // The Sampler reads live sender *and* receiver state on a period —
-    // a cross-domain read mid-window, which sharding forbids.
-    throw std::invalid_argument(
-        "run_transfer: TraceOptions::sample_period is incompatible with "
-        "sharded execution");
-  }
-
   // The engine. A serial run is one plain Scheduler. A sharded run is
   // the ShardEngine's domains, cut along the topology's natural seams:
   // the sender, its NIC and the backbone in domain 0, group g's whole
@@ -364,50 +356,61 @@ RunResult run_transfer(const Scenario& sc) {
     return sinks[i] ? sinks[i]->stream_complete()
                     : modeled_socks[i]->complete();
   };
+  // Time series (TraceOptions::sample_period), taken inside `done`
+  // below. `reached` is the earliest pending event, so every event
+  // before it has run. Each period tick not yet sampled, up to `reached`
+  // and never past the time limit, gets the state as it is now: on the
+  // serial engine the state after every event before the tick, on the
+  // sharded engine the state after every event of the epoch holding the
+  // tick, at any thread count. Sampling only reads, and schedules no
+  // event.
+  const sim::SimTime sample_period =
+      sc.trace.enabled ? sc.trace.sample_period : 0;
+  std::vector<SamplePoint> samples;
+  sim::SimTime next_sample = 0;
+  const auto take_samples = [&] {
+    sim::SimTime reached = sc.time_limit;
+    for (sim::Scheduler* s : domains) {
+      reached = std::min(reached, s->next_event_time());
+    }
+    if (next_sample > reached) return;
+    SamplePoint p;
+    p.rate_bps = snd.current_rate();
+    p.send_window_bytes = static_cast<double>(snd.queued_bytes());
+    p.naks_received = static_cast<double>(snd.stats().naks_received);
+    p.rate_requests_received =
+        static_cast<double>(snd.stats().rate_requests_received);
+    p.retransmissions = static_cast<double>(snd.stats().retransmissions);
+    for (const auto& r : rcv_socks) {
+      if (!r) continue;
+      p.recv_occupancy_bytes = std::max(p.recv_occupancy_bytes,
+                                        static_cast<double>(r->occupancy()));
+      p.recv_region =
+          std::max(p.recv_region, static_cast<double>(r->flow_region()));
+      p.nak_list_ranges += static_cast<double>(r->nak_backlog());
+      p.update_period_jiffies = std::max(
+          p.update_period_jiffies, static_cast<double>(r->update_period()));
+    }
+    for (; next_sample <= reached; next_sample += sample_period) {
+      p.t = next_sample;
+      samples.push_back(p);
+    }
+  };
+
   // Run until every receiver we *expect* to finish has finished (a
   // receiver crashed without restart never will — waiting on it would
   // just spin to the time limit) and the sender released everything.
-  // The sharded engine evaluates this only at epoch barriers, where
-  // every domain is quiescent — the one place a cross-domain read is
-  // safe (and deterministic: the barrier schedule is thread-count
-  // independent).
+  // The serial engine evaluates this before every event; the sharded
+  // engine only at epoch barriers, where every domain is quiescent — the
+  // one place a cross-domain read is safe (and deterministic: the
+  // barrier schedule is thread-count independent).
   const auto done = [&] {
+    if (sample_period > 0) take_samples();
     for (std::size_t i = 0; i < sinks.size(); ++i) {
       if (expect_complete[i] && !slot_complete(i)) return false;
     }
     return snd.finished();
   };
-
-  // Time-series sampler (serial only): reads (never mutates) protocol
-  // state, so its presence changes only the executed-event count, not
-  // the run.
-  std::unique_ptr<trace::Sampler> sampler;
-  if (sc.trace.enabled && sc.trace.sample_period > 0) {
-    sampler = std::make_unique<trace::Sampler>(
-        sched0, sc.trace.sample_period, [&snd, &rcv_socks] {
-          trace::SamplePoint p;
-          p.rate_bps = snd.current_rate();
-          p.send_window_bytes = static_cast<double>(snd.queued_bytes());
-          p.naks_received = static_cast<double>(snd.stats().naks_received);
-          p.rate_requests_received =
-              static_cast<double>(snd.stats().rate_requests_received);
-          p.retransmissions =
-              static_cast<double>(snd.stats().retransmissions);
-          for (const auto& r : rcv_socks) {
-            if (!r) continue;
-            p.recv_occupancy_bytes = std::max(
-                p.recv_occupancy_bytes, static_cast<double>(r->occupancy()));
-            p.recv_region = std::max(
-                p.recv_region, static_cast<double>(r->flow_region()));
-            p.nak_list_ranges += static_cast<double>(r->nak_backlog());
-            p.update_period_jiffies =
-                std::max(p.update_period_jiffies,
-                         static_cast<double>(r->update_period()));
-          }
-          return p;
-        });
-    sampler->start();
-  }
 
   unsigned threads = 1;
   if (engine) {
@@ -425,7 +428,6 @@ RunResult run_transfer(const Scenario& sc) {
   // Quiesce every timer before reading stats: stop() also closes a
   // stall interval still open at shutdown, so the stats counter agrees
   // with window_stall_time() even for a run that ends mid-stall.
-  if (sampler) sampler->stop();
   snd.stop();
   for (auto& r : rcv_socks) {
     if (r) r->stop();
@@ -537,7 +539,7 @@ RunResult run_transfer(const Scenario& sc) {
           return a.t < b.t;
         });
   }
-  if (sampler) res.samples = sampler->take();
+  res.samples = std::move(samples);
 
   if (engine) {
     res.shard_domains = engine->domain_count();

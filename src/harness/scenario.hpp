@@ -16,7 +16,6 @@
 #include "hrmc/stats.hpp"
 #include "net/fault.hpp"
 #include "net/topology.hpp"
-#include "trace/sampler.hpp"
 #include "trace/trace.hpp"
 
 namespace hrmc::harness {
@@ -36,10 +35,10 @@ struct Workload {
 /// its own TraceRing (one for a serial run), written by that domain's
 /// traced components (sender, receivers, routers, NICs, fault injector)
 /// under the trace.hpp host-id convention and merged by timestamp after
-/// the run; `sample_period > 0` additionally runs a time-series Sampler
-/// over the live protocol state (serial engine only). Neither changes
-/// protocol behaviour: trace emission is a passive store and the
-/// sampler only reads.
+/// the run; `sample_period > 0` additionally records a SamplePoint at
+/// every multiple of the period, on either engine. Neither changes the
+/// run: trace emission is a passive store, and samples are read where
+/// the engine already checks for completion, scheduling no event.
 struct TraceOptions {
   bool enabled = false;
   std::size_t ring_capacity = 1 << 18;  ///< records per ring (32 B each)
@@ -88,9 +87,6 @@ struct ModeledGroup {
 /// wiring, so every Scenario field means the same on either; the serial
 /// engine (enabled = false) can differ from the sharded schedule only
 /// in how same-timestamp events in different domains interleave.
-/// Incompatible with TraceOptions::sample_period (the Sampler reads
-/// live cross-domain state mid-window) — run_transfer throws on that
-/// combination.
 struct ShardOptions {
   bool enabled = false;
   /// Worker threads; 0 = the harness thread budget's leftover share
@@ -133,6 +129,26 @@ struct Scenario {
   /// Sharded multi-core execution (off = one serial scheduler,
   /// bit-identical to runs predating this field).
   ShardOptions shard;
+};
+
+/// One sample of the quantities the paper plots over time (Figs 11 and
+/// 13), taken at `t` = k * TraceOptions::sample_period. Counters
+/// (naks_received, ...) are cumulative as of t; per-interval activity is
+/// the difference of consecutive samples.
+struct SamplePoint {
+  sim::SimTime t = 0;
+  double rate_bps = 0;              ///< sender's advertised rate (bytes/s)
+  double send_window_bytes = 0;     ///< send-buffer occupancy
+  double recv_occupancy_bytes = 0;  ///< max over receivers
+  double recv_region = 0;           ///< worst flow-control region (0/1/2)
+  double nak_list_ranges = 0;       ///< pending NAK ranges, all receivers
+  double update_period_jiffies = 0; ///< max over receivers
+  // Cumulative feedback counters at the sender.
+  double naks_received = 0;
+  double rate_requests_received = 0;
+  double retransmissions = 0;
+
+  bool operator==(const SamplePoint&) const = default;
 };
 
 struct RunResult {
@@ -180,7 +196,7 @@ struct RunResult {
   // Observability output (TraceOptions). Empty unless enabled.
   std::vector<trace::TraceRecord> trace_records;  ///< time-ordered
   std::uint64_t trace_dropped = 0;  ///< oldest records the ring overwrote
-  std::vector<trace::SamplePoint> samples;
+  std::vector<SamplePoint> samples;
 
   // Engine-level replay identity. events_executed and rng_digest
   // together pin a run's full schedule: the digest folds the end-state

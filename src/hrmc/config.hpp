@@ -71,6 +71,14 @@ inline constexpr kern::Jiffies kKeepaliveMax = 200;
 inline constexpr sim::SimTime kInitialRtt = sim::milliseconds(10);
 inline constexpr sim::SimTime kMinRttClamp = sim::microseconds(200);
 
+/// Receiver NAK suppression: a pending NAK is not re-sent until this
+/// many RTTs have elapsed (documented choice; paper says "appropriate
+/// intervals").
+inline constexpr double kNakResendRtts = 1.5;
+/// SRM-style suppression backoff window width, in smoothed RTTs (see
+/// Config::nak_suppression).
+inline constexpr double kNakBackoffRtts = 1.0;
+
 /// Sender collapses duplicate retransmission requests arriving within
 /// this fraction of an RTT of a prior retransmission of the same data.
 inline constexpr double kRetransDedupRtts = 0.5;
@@ -82,6 +90,13 @@ inline constexpr double kRateCutHoldoffRtts = 1.0;
 inline constexpr double kProbeIntervalRtts = 1.0;
 /// Cap on the probe-backoff exponent (bounds both the spacing and pow()).
 inline constexpr int kProbeBackoffCap = 6;
+/// Cap on unicast PROBEs emitted per release attempt (one scheduler
+/// event). A cold 10k-member table owes 10k probes; without the cap
+/// they leave as one 10k-packet burst in a single jiffy. Deferred
+/// members are picked up by the next release attempt via a rotating
+/// cursor, so every member is still probed within O(lacking / cap)
+/// rounds with the existing retry backoff intact.
+inline constexpr std::size_t kMaxProbesPerRound = 128;
 
 /// Local-repairer payload cache, in packets (most recently received
 /// DATA payloads kept for answering child NAKs). Bounds repairer
@@ -97,6 +112,8 @@ inline constexpr sim::SimTime kRepairChildTimeout = sim::seconds(5);
 /// sender (and re-JOINs there). Guards against a crashed repairer.
 inline constexpr int kRepairFailoverNaks = 3;
 
+/// Receiver-side payload cache for FEC reconstruction, in FEC groups.
+inline constexpr std::size_t kFecCacheGroups = 4;
 /// Consecutive quiet FEC adaptation epochs before the parity rate steps
 /// down.
 inline constexpr int kFecHysteresisEpochs = 2;
@@ -138,21 +155,6 @@ struct Config {
   /// Fixed update period when false (the paper's "original design").
   bool dynamic_update_timer = true;
 
-  // --- NAK handling ---
-  /// Receiver NAK suppression: a pending NAK is not re-sent until this
-  /// many RTTs have elapsed (documented choice; paper says "appropriate
-  /// intervals").
-  double nak_resend_rtts = 1.5;
-
-  // --- Probing ---
-  /// Cap on unicast PROBEs emitted per release attempt (one scheduler
-  /// event). A cold 10k-member table owes 10k probes; without the cap
-  /// they leave as one 10k-packet burst in a single jiffy. Deferred
-  /// members are picked up by the next release attempt via a rotating
-  /// cursor, so every member is still probed within O(lacking / cap)
-  /// rounds with the existing retry backoff intact. 0 disables the cap.
-  std::size_t max_probes_per_round = 128;
-
   // --- Failure detection and recovery (robustness extension) ---
   /// Policy once a member exhausts its probe-retry budget.
   EvictionPolicy eviction_policy = EvictionPolicy::kStall;
@@ -181,22 +183,15 @@ struct Config {
   // --- Million-receiver scaling (hierarchical repair + SRM suppression;
   // off by default, so flat-topology runs are bit-identical) ---
   /// SRM-style NAK suppression: a fresh hole's first NAK is delayed by a
-  /// uniform random backoff in [0, nak_backoff_rtts * srtt]; a NAK for
+  /// uniform random backoff in [0, kNakBackoffRtts * srtt]; a NAK for
   /// an overlapping range overheard from another group member (receivers
   /// multicast a copy of each NAK into their subtree) re-defers it, so
   /// a shared upstream loss costs one NAK per subtree, not one per leaf.
   bool nak_suppression = false;
-  /// Backoff window width, in smoothed RTTs.
-  double nak_backoff_rtts = 1.0;
   /// Root seed for the receiver-local suppression RNG (drawn only while
   /// nak_suppression is on; per-receiver substreams are derived from it
   /// and the receiver address, so runs stay deterministic).
   std::uint64_t feedback_seed = 0;
-
-  /// Byte bound on the local-repairer payload cache, applied alongside
-  /// kRepairCachePackets (LRU eviction from the front). 0 = packet bound
-  /// only (the default, so existing runs are unchanged).
-  std::size_t repair_cache_bytes = 0;
 
   // --- Optional extensions (§6 future work; off by default) ---
   /// (1) Early probes: probe receivers when a packet is within this many
@@ -218,8 +213,6 @@ struct Config {
   /// without a NAK round trip; only groups whose losses exceed the
   /// parity budget fall back to NAKs (DESIGN.md §15). 0 disables.
   std::size_t fec_group = 0;
-  /// Receiver-side payload cache for reconstruction, in FEC groups.
-  std::size_t fec_cache_groups = 4;
   /// Parity packets per group when adaptation is off, and the floor the
   /// adaptive controller never goes below. Clamped to fec::kMaxParity.
   std::size_t fec_parity_min = 1;

@@ -60,7 +60,7 @@ Seq ModeledReceiver::population_min() const {
 
 sim::SimTime ModeledReceiver::nak_interval() const {
   return std::max<sim::SimTime>(
-      static_cast<sim::SimTime>(cfg_.nak_resend_rtts *
+      static_cast<sim::SimTime>(kNakResendRtts *
                                 static_cast<double>(kInitialRtt)),
       2 * kern::kJiffy);
 }

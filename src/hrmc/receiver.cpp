@@ -549,7 +549,7 @@ void HrmcReceiver::nak_holes_up_to(Seq upto) {
 
 sim::SimTime HrmcReceiver::suppression_backoff() {
   const double window =
-      cfg_.nak_backoff_rtts *
+      kNakBackoffRtts *
       static_cast<double>(std::max<sim::SimTime>(rtt_.srtt(), kern::kJiffy));
   return static_cast<sim::SimTime>(feedback_rng_.uniform(0.0, window));
 }
@@ -639,7 +639,7 @@ void HrmcReceiver::fec_cache_store(Seq begin,
   fec_cache_.push_back(
       FecCacheEntry{begin, {payload.begin(), payload.end()}});
   const std::size_t cap =
-      std::max<std::size_t>(1, cfg_.fec_cache_groups * cfg_.fec_group);
+      std::max<std::size_t>(1, kFecCacheGroups * cfg_.fec_group);
   while (fec_cache_.size() > cap) {
     mem_uncharge(kern::MemComponent::kFecData,
                  fec_cache_.front().bytes.size());
@@ -702,8 +702,7 @@ void HrmcReceiver::fec_parity_store(Seq begin, std::uint32_t span,
   if (!mem_charge(kern::MemComponent::kFecParity, payload.size())) return;
   fec_parity_cache_.push_back(
       FecParityEntry{begin, span, index, {payload.begin(), payload.end()}});
-  const std::size_t cap =
-      std::max<std::size_t>(1, cfg_.fec_cache_groups) * fec::kMaxParity;
+  const std::size_t cap = kFecCacheGroups * fec::kMaxParity;
   while (fec_parity_cache_.size() > cap) {
     mem_uncharge(kern::MemComponent::kFecParity,
                  fec_parity_cache_.front().bytes.size());

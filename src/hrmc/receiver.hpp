@@ -182,7 +182,7 @@ class HrmcReceiver final : public net::Transport {
   /// Another member's NAK, overheard on the subtree multicast (SRM
   /// suppression): defer our own overlapping pending NAKs.
   void process_peer_nak(const Header& h, net::Addr from);
-  /// Random NAK delay in [0, nak_backoff_rtts * srtt) (SRM suppression).
+  /// Random NAK delay in [0, kNakBackoffRtts * srtt) (SRM suppression).
   [[nodiscard]] sim::SimTime suppression_backoff();
 
   // Reassembly helpers.
@@ -258,7 +258,7 @@ class HrmcReceiver final : public net::Transport {
     // timer, so a re-send any sooner is guaranteed to duplicate ("before
     // the sender has had ample opportunity to respond", §2).
     sim::SimTime iv = std::max<sim::SimTime>(
-        static_cast<sim::SimTime>(cfg_.nak_resend_rtts *
+        static_cast<sim::SimTime>(kNakResendRtts *
                                   static_cast<double>(rtt_.srtt())),
         2 * kern::kJiffy);
     if (fec_wait_worthwhile()) iv = std::max(iv, fec_parity_eta());
@@ -280,7 +280,7 @@ class HrmcReceiver final : public net::Transport {
   [[nodiscard]] bool fec_wait_worthwhile() const {
     if (cfg_.fec_group == 0 || interarrival_ <= 0) return false;
     const sim::SimTime base = static_cast<sim::SimTime>(
-        cfg_.nak_resend_rtts * static_cast<double>(rtt_.srtt()));
+        kNakResendRtts * static_cast<double>(rtt_.srtt()));
     return fec_parity_eta() <=
            std::max<sim::SimTime>(2 * base, sim::milliseconds(60));
   }
@@ -307,7 +307,7 @@ class HrmcReceiver final : public net::Transport {
   // FEC extension: cache of recent data payloads (any length — the tail
   // shard of a truncated group is sub-MSS), used to reconstruct up to r
   // missing packets of a parity group via fec::decode. Bounded by
-  // cfg_.fec_cache_groups * cfg_.fec_group entries.
+  // kFecCacheGroups * cfg_.fec_group entries.
   struct FecCacheEntry {
     kern::Seq begin = 0;
     std::vector<std::uint8_t> bytes;
@@ -322,7 +322,7 @@ class HrmcReceiver final : public net::Transport {
   /// with r > 1 the first parity of a group may arrive while decode
   /// still needs a sibling row, so rows are cached until the group
   /// decodes, completes via ARQ, or ages out. Bounded by
-  /// cfg_.fec_cache_groups * fec::kMaxParity entries.
+  /// kFecCacheGroups * fec::kMaxParity entries.
   struct FecParityEntry {
     kern::Seq begin = 0;       ///< first byte of the protected group
     std::uint32_t span = 0;    ///< exact byte span covered (wire `rate`)

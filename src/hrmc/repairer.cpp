@@ -138,13 +138,8 @@ void RepairAgent::cache_data(const Header& h, const kern::SkBuffPtr& skb) {
   }
   cache_.push_back(
       CacheEntry{begin, begin + h.length, h.fin, skb->clone()});
-  cache_bytes_ += h.length;
   while (cache_.size() > kRepairCachePackets) {
     evict_front(/*traced=*/false);
-  }
-  const std::size_t byte_cap = owner_.cfg_.repair_cache_bytes;
-  while (byte_cap > 0 && cache_bytes_ > byte_cap && !cache_.empty()) {
-    evict_front(/*traced=*/true);
   }
   // Budget squeeze: the ledger itself may sit over the effective line
   // even though this charge fit under the full budget — shed LRU
@@ -163,7 +158,6 @@ void RepairAgent::evict_front(bool traced) {
   const CacheEntry& e = cache_.front();
   const auto len = static_cast<std::size_t>(seq_diff(e.begin, e.end));
   owner_.mem_uncharge(kern::MemComponent::kRepairCache, len);
-  cache_bytes_ -= std::min(cache_bytes_, len);
   if (traced) {
     owner_.stats_.repair_cache_evictions++;
     owner_.trace_.emit(
@@ -288,7 +282,6 @@ void RepairAgent::clear() {
                         static_cast<std::size_t>(seq_diff(e.begin, e.end)));
   }
   cache_.clear();
-  cache_bytes_ = 0;
   dirty_ = false;
   last_control_forward_ = -1;
   flush_timer_.del_timer();

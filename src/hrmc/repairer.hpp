@@ -85,7 +85,7 @@ class RepairAgent {
   /// sender's window (the paper's stall semantics, one level down).
   void expire_children(sim::SimTime now);
   /// Drops the oldest cache entry (LRU front), returning its bytes to
-  /// the owner's memory ledger. `traced` marks byte-bound / pressure
+  /// the owner's memory ledger. `traced` marks memory-pressure
   /// evictions (kCacheEvict + stat); packet-cap pops stay silent, as
   /// they always were.
   void evict_front(bool traced);
@@ -98,7 +98,6 @@ class RepairAgent {
   HrmcReceiver& owner_;
   std::unordered_map<net::Addr, Child> children_;
   std::deque<CacheEntry> cache_;
-  std::size_t cache_bytes_ = 0;  ///< payload bytes held in cache_
   kern::TimerList flush_timer_;
   bool dirty_ = false;
   /// Rate-limit for forwarded (non-urgent) child rate requests.

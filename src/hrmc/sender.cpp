@@ -588,7 +588,7 @@ void HrmcSender::refresh_lacking(Seq release_seq) {
   lacking_cache_.clear();
   members_.for_each([&](McMember& m) {
     if (seq_before(m.next_expected, release_seq)) {
-      lacking_cache_.push_back(m.addr);
+      lacking_cache_.push_back(&m);
     }
   });
   lacking_gate_ = release_seq;
@@ -603,12 +603,11 @@ void HrmcSender::probe_lacking_members(Seq release_seq) {
   refresh_lacking(release_seq);
   std::vector<McMember*> lacking;
   std::size_t keep = 0;
-  for (net::Addr addr : lacking_cache_) {
-    McMember* m = members_.find(addr);
-    if (m == nullptr || !seq_before(m->next_expected, release_seq)) {
-      continue;  // caught up (or gone) since the cache was built: compact
+  for (McMember* m : lacking_cache_) {
+    if (!seq_before(m->next_expected, release_seq)) {
+      continue;  // caught up since the cache was built: compact
     }
-    lacking_cache_[keep++] = addr;
+    lacking_cache_[keep++] = m;
     if (now - m->last_probed >= probe_spacing(*m)) lacking.push_back(m);
   }
   lacking_cache_.resize(keep);
@@ -646,11 +645,10 @@ void HrmcSender::probe_lacking_members(Seq release_seq) {
   // spacing check re-selects them immediately.
   std::size_t count = lacking.size();
   std::size_t start = 0;
-  if (cfg_.max_probes_per_round > 0 &&
-      lacking.size() > cfg_.max_probes_per_round) {
-    stats_.probes_deferred += lacking.size() - cfg_.max_probes_per_round;
+  if (lacking.size() > kMaxProbesPerRound) {
+    stats_.probes_deferred += lacking.size() - kMaxProbesPerRound;
     start = probe_cursor_ % lacking.size();
-    count = cfg_.max_probes_per_round;
+    count = kMaxProbesPerRound;
     probe_cursor_ = (start + count) % lacking.size();
   }
   for (std::size_t i = 0; i < count; ++i) {
@@ -669,9 +667,8 @@ bool HrmcSender::resolve_dead_members(Seq release_seq) {
   bool live_member_lacking = false;
   std::vector<net::Addr> dead;
   refresh_lacking(release_seq);
-  for (net::Addr addr : lacking_cache_) {
-    McMember* m = members_.find(addr);
-    if (m == nullptr || !seq_before(m->next_expected, release_seq)) continue;
+  for (const McMember* m : lacking_cache_) {
+    if (!seq_before(m->next_expected, release_seq)) continue;
     if (member_dead(*m)) {
       any_dead = true;
       dead.push_back(m->addr);
@@ -743,6 +740,43 @@ void HrmcSender::rx(kern::SkBuffPtr skb) {
 // short enough that a silent rejoin-by-feedback eventually works again.
 constexpr sim::SimTime kLeaveTombstone = sim::seconds(5);
 
+McMember* HrmcSender::admit_feedback(net::Addr addr, Seq pos) {
+  if (McMember* m = members_.find(addr)) return m;
+  const auto tomb = recently_left_.find(addr);
+  if (tomb != recently_left_.end()) {
+    if (host_.scheduler().now() - tomb->second < kLeaveTombstone) {
+      // Straggler feedback from a receiver that already left (its
+      // LEAVE raced this packet, or the half-closed peer answered a
+      // probe). Re-admitting it would stall the window on a member
+      // that will never advance again.
+      stats_.ghost_feedback_ignored++;
+      return nullptr;
+    }
+    recently_left_.erase(tomb);
+  }
+  // Feedback from a receiver whose JOIN we never saw (or, for a
+  // repairer's aggregates, a sender restart); adopt it rather than lose
+  // reliability.
+  return members_.add(addr, pos);
+}
+
+void HrmcSender::heard_from(McMember& m, Seq pos, bool solicited) {
+  const sim::SimTime now = host_.scheduler().now();
+  m.last_heard = now;
+  if (!m.probe_pending) return;
+  if (solicited) {
+    // A marked probe response: an unambiguous RTT sample. (Unsolicited
+    // feedback crossing the probe in flight must NOT be timed — with
+    // many receivers those crossings are constant and would collapse
+    // the estimate toward zero.)
+    rtt_.sample(now - m.last_probed);
+  } else if (!seq_after_eq(pos, m.probe_seq)) {
+    return;  // unsolicited, and short of what the probe asked about
+  }
+  m.probe_pending = false;
+  m.probe_retries = 0;
+}
+
 McMember* HrmcSender::refresh_member(net::Addr addr, Seq next_expected,
                                      bool solicited) {
   // A receiver cannot expect bytes the sender never assigned: feedback
@@ -752,42 +786,10 @@ McMember* HrmcSender::refresh_member(net::Addr addr, Seq next_expected,
     stats_.feedback_clamped++;
     next_expected = snd_nxt_;
   }
-  McMember* m = members_.find(addr);
-  if (m == nullptr) {
-    const auto tomb = recently_left_.find(addr);
-    if (tomb != recently_left_.end()) {
-      if (host_.scheduler().now() - tomb->second < kLeaveTombstone) {
-        // Straggler feedback from a receiver that already left (its
-        // LEAVE raced this packet, or the half-closed peer answered a
-        // probe). Re-admitting it would stall the window on a member
-        // that will never advance again.
-        stats_.ghost_feedback_ignored++;
-        return nullptr;
-      }
-      recently_left_.erase(tomb);
-    }
-    // Feedback from a receiver whose JOIN we never saw; adopt it rather
-    // than lose reliability.
-    m = members_.add(addr, next_expected);
-  }
-  const sim::SimTime now = host_.scheduler().now();
+  McMember* m = admit_feedback(addr, next_expected);
+  if (m == nullptr) return nullptr;
   members_.advance(m, next_expected);
-  m->last_heard = now;
-  if (m->probe_pending) {
-    if (solicited) {
-      // A marked probe response: an unambiguous RTT sample. (Unsolicited
-      // feedback crossing the probe in flight must NOT be timed — with
-      // many receivers those crossings are constant and would collapse
-      // the estimate toward zero.)
-      rtt_.sample(now - m->last_probed);
-      m->probe_pending = false;
-      m->probe_retries = 0;
-    } else if (seq_after_eq(next_expected, m->probe_seq)) {
-      // Unsolicited, but it confirms everything the probe asked about.
-      m->probe_pending = false;
-      m->probe_retries = 0;
-    }
-  }
+  heard_from(*m, next_expected, solicited);
   return m;
 }
 
@@ -975,36 +977,11 @@ void HrmcSender::process_agg_update(const Header& h, net::Addr from) {
   }
   if (seq_before(pos, snd_wnd_)) pos = snd_wnd_;
 
-  McMember* m = members_.find(from);
-  if (m == nullptr) {
-    const auto tomb = recently_left_.find(from);
-    if (tomb != recently_left_.end()) {
-      if (host_.scheduler().now() - tomb->second < kLeaveTombstone) {
-        stats_.ghost_feedback_ignored++;
-        return;
-      }
-      recently_left_.erase(tomb);
-    }
-    // Adoption, as for any feedback: after a sender restart (or a lost
-    // JOIN) the repairer's periodic aggregates rebuild its record.
-    m = members_.add(from, pos);
-  }
-  const sim::SimTime now = host_.scheduler().now();
+  McMember* m = admit_feedback(from, pos);
+  if (m == nullptr) return;
   members_.set_position(m, pos);
   members_.set_multiplicity(m, std::max<std::uint32_t>(h.rate, 1));
-  m->last_heard = now;
-  if (m->probe_pending) {
-    if (h.urg) {
-      // Solicited (probe-answering) aggregate: clean RTT sample, same
-      // rule as refresh_member.
-      rtt_.sample(now - m->last_probed);
-      m->probe_pending = false;
-      m->probe_retries = 0;
-    } else if (seq_after_eq(pos, m->probe_seq)) {
-      m->probe_pending = false;
-      m->probe_retries = 0;
-    }
-  }
+  heard_from(*m, pos, /*solicited=*/h.urg);
 }
 
 void HrmcSender::process_join(const Header& h, net::Addr from) {

@@ -179,6 +179,15 @@ class HrmcSender final : public net::Transport {
   void process_agg_update(const Header& h, net::Addr from);
   void process_join(const Header& h, net::Addr from);
   void process_leave(const Header& h, net::Addr from);
+  /// Feedback admission: the member record for `addr`, adopting a
+  /// receiver the table does not hold at `pos`; nullptr for straggler
+  /// feedback from an address that left within kLeaveTombstone.
+  McMember* admit_feedback(net::Addr addr, kern::Seq pos);
+  /// Stamps `m` heard from now and settles its outstanding probe if this
+  /// feedback answers it: solicited (probe-marked, and timed as an RTT
+  /// sample), or unsolicited but reaching the probed position `pos`.
+  void heard_from(McMember& m, kern::Seq pos, bool solicited);
+  /// Admission, clamp and monotone advance for ordinary feedback.
   McMember* refresh_member(net::Addr addr, kern::Seq next_expected,
                            bool solicited);
   /// Times the packet containing `seq`, if sent_record() knows it.
@@ -296,14 +305,16 @@ class HrmcSender final : public net::Transport {
   /// incomplete, cleared (and accumulated into stats) when it releases.
   sim::SimTime stall_since_ = -1;
 
-  // Lacking-set cache (see refresh_lacking): member addresses still
-  // below lacking_gate_, valid for one (gate, membership version) pair.
-  std::vector<net::Addr> lacking_cache_;
+  // Lacking-set cache (see refresh_lacking): members still below
+  // lacking_gate_, valid for one (gate, membership version) pair. Every
+  // add and remove bumps the version, and each reader refreshes first,
+  // so a cached pointer never outlives its member.
+  std::vector<McMember*> lacking_cache_;
   kern::Seq lacking_gate_ = 0;
   std::uint64_t lacking_version_ = 0;
   bool lacking_valid_ = false;
   /// Rotating start index for capped probe rounds, so members deferred
-  /// by Config::max_probes_per_round are first in line next round.
+  /// by kMaxProbesPerRound are first in line next round.
   std::size_t probe_cursor_ = 0;
 
   // Join-batching state (active when cfg_.join_batch_threshold > 0):

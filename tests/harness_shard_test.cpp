@@ -273,14 +273,37 @@ TEST(ShardDifferential, LegacyAndShardedAgreeOnOutcome) {
   }
 }
 
-TEST(ShardDifferential, SamplerIsRejectedUnderSharding) {
+TEST(ShardDifferential, SamplesAreThreadCountInvariantAndScheduleNoEvents) {
+  // Samples are taken at epoch barriers, where every domain is
+  // quiescent: identical at every thread count, one per period tick,
+  // and the sampled run executes exactly the unsampled run's events.
   Workload wl;
-  wl.file_bytes = 64 * 1024;
+  wl.file_bytes = 512 * 1024;
   Scenario sc = lan_scenario(2, 10e6, 256u << 10, wl, 1);
+  sc.topo.groups.push_back(net::group_b(2));
   sc.trace.enabled = true;
-  sc.trace.sample_period = sim::milliseconds(10);
   sc.shard.enabled = true;
-  EXPECT_THROW(run_transfer(sc), std::invalid_argument);
+  sc.shard.threads = 1;
+  const RunResult plain = run_transfer(sc);
+  const sim::SimTime period = sim::milliseconds(10);
+  sc.trace.sample_period = period;
+  const RunResult one = run_transfer(sc);
+  sc.shard.threads = 2;
+  const RunResult two = run_transfer(sc);
+
+  ASSERT_TRUE(one.completed);
+  EXPECT_TRUE(plain.samples.empty());
+  EXPECT_EQ(one.events_executed, plain.events_executed);
+  EXPECT_EQ(one.rng_digest, plain.rng_digest);
+  expect_identical(one, two, 2);
+  EXPECT_EQ(one.samples, two.samples);
+  ASSERT_GT(one.samples.size(), 1u);
+  for (std::size_t k = 0; k < one.samples.size(); ++k) {
+    EXPECT_EQ(one.samples[k].t, static_cast<sim::SimTime>(k) * period);
+  }
+  bool nonzero_rate = false;
+  for (const SamplePoint& p : one.samples) nonzero_rate |= p.rate_bps > 0;
+  EXPECT_TRUE(nonzero_rate);
 }
 
 TEST(ThreadBudget, ExplicitLeaseIsGrantedExactly) {

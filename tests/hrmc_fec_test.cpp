@@ -384,24 +384,17 @@ TEST_F(FecTest, AnchorStraddleDiscardsEveryParityRow) {
   EXPECT_EQ(rcv_->stats().fec_recoveries, 0u);
 }
 
-class FecSmallCacheTest : public FecTest {
- protected:
-  void SetUp() override {
-    cfg_.fec_cache_groups = 1;  // payload cache: 1 group = 4 entries
-    FecTest::SetUp();
-  }
-};
-
-TEST_F(FecSmallCacheTest, EvictedSiblingMidGroupFailsDecode) {
-  // Shard 1 of group 0 is lost; its siblings arrive but a full second
-  // group then evicts their payloads from the bounded cache. The late
-  // parity finds the stream "holding" the siblings while their bytes
-  // are gone: decode must fail cleanly (stat + no splice), and ARQ
+TEST_F(FecTest, EvictedSiblingMidGroupFailsDecode) {
+  // Shard 1 of group 0 is lost; its siblings arrive but kFecCacheGroups
+  // later groups then evict their payloads from the bounded cache. The
+  // late parity finds the stream "holding" the siblings while their
+  // bytes are gone: decode must fail cleanly (stat + no splice), and ARQ
   // remains responsible for the hole.
   send_data(0 * kMss);
   send_data(2 * kMss);
   send_data(3 * kMss);
-  for (int g = 4; g < 8; ++g) send_data(g * kMss);  // evicts group 0
+  const int evicting = static_cast<int>(4 * kFecCacheGroups);
+  for (int g = 4; g < 4 + evicting; ++g) send_data(g * kMss);
   send_fec_row(0, 4 * kMss, 0);
   run_for(sim::milliseconds(50));
   EXPECT_EQ(rcv_->stats().fec_recoveries, 0u);

@@ -128,23 +128,23 @@ TEST(MemPressure, AllocFailDuringUrgJoinResync) {
   EXPECT_GT(r.mem_alloc_fails, 0u);
 }
 
-TEST(MemPressure, RepairerDeathFailoverWithByteBoundCache) {
-  // Hierarchical repair with the payload cache bounded by *bytes* far
-  // below the stream size: the repairer serves children from an LRU it
-  // is constantly evicting, then dies mid-stream. Children fail over
-  // to the sender and the subtree still delivers.
-  Scenario sc = mem_scenario(3, 256 * 1024, 0, 31);
+TEST(MemPressure, RepairerDeathFailoverWithEvictingCache) {
+  // Hierarchical repair under a memory budget far below the stream
+  // size: the repairer serves children from an LRU the ledger keeps
+  // evicting, then dies mid-stream. Children fail over to the sender
+  // and the subtree still delivers.
+  Scenario sc = mem_scenario(3, 256 * 1024, 256 * 1024, 31);
   sc.topo.groups[0].loss_rate = 0.02;
   sc.hierarchy.enabled = true;
-  sc.proto.repair_cache_bytes = 16 * 1024;
   sc.faults.crash(0, sim::milliseconds(250));
   sc.faults.restart(0, sim::milliseconds(500));
   const RunResult r = harness::run_transfer(sc);
   EXPECT_TRUE(r.completed);
   EXPECT_FALSE(r.any_stream_error);
-  // The byte cap actually evicted (the packet-count cap alone would
-  // never trip at this stream size).
+  // The ledger actually evicted repair-cache entries (the packet-count
+  // cap alone is silent), and children failed over.
   EXPECT_GT(r.receivers_total.repair_cache_evictions, 0u);
+  EXPECT_GT(r.receivers_total.repair_failovers, 0u);
 }
 
 TEST(MemPressure, FecGroupsFallBackToSelectiveRepeatUnderOom) {

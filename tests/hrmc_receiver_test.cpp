@@ -159,9 +159,7 @@ TEST_F(ReceiverTest, NakSuppressionAvoidsDuplicates) {
 }
 
 TEST_F(ReceiverTest, NakManagerResendsAfterInterval) {
-  Config cfg;
-  cfg.nak_resend_rtts = 1.5;
-  make_receiver(cfg);
+  make_receiver(Config{});
   send_data(Config::kInitialSeq, 1000);
   send_data(Config::kInitialSeq + 2000, 1000);
   run_for(sim::seconds(1));  // far beyond 1.5 RTTs

@@ -262,7 +262,6 @@ TEST(ScaleHierarchy, RepairerCleanLeaveRehomesSubtree) {
 TEST(ScaleSuppression, PeerNaksSuppressDuplicates) {
   harness::Scenario sc = base_scenario(1, 6, 0.03, 97004);
   sc.proto.nak_suppression = true;
-  sc.proto.nak_backoff_rtts = 2.0;
   sc.proto.feedback_seed = 97004;
   const harness::RunResult r = harness::run_transfer(sc);
   ASSERT_TRUE(r.completed);
@@ -276,20 +275,19 @@ TEST(ScaleProbes, PerRoundCapDefersColdBursts) {
   harness::Scenario sc = base_scenario(1, 1, 0.0, 97005);
   sc.topo.groups.clear();
   for (int g = 0; g < 5; ++g) {
-    sc.topo.groups.push_back(net::group_a(10));
+    sc.topo.groups.push_back(net::group_a(30));
   }
-  for (std::size_t i = 0; i < 50; ++i) {
+  for (std::size_t i = 0; i < 150; ++i) {
     harness::ModeledGroup mg;
     mg.receiver = i;
     mg.population = 100;
     mg.leaf_loss = 0.0;
     sc.modeled.push_back(mg);
   }
-  sc.proto.max_probes_per_round = 4;
   const harness::RunResult r = harness::run_transfer(sc);
   ASSERT_TRUE(r.completed);
-  // 50 members can owe probes at once; with a 4-per-round cap the rest
-  // must be pushed to later rounds, never emitted as one burst.
+  // 150 members can owe probes at once; past the kMaxProbesPerRound cap
+  // the rest must be pushed to later rounds, never emitted as one burst.
   EXPECT_GT(r.sender.probes_deferred, 0u);
   EXPECT_GT(r.sender.probes_sent, 0u);
 }

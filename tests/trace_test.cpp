@@ -1,7 +1,8 @@
 // Tests for the observability subsystem: the trace ring, the sink,
-// the sampler, the JSONL dump, and — most importantly — the invariant
-// checker, including proof that it actually FAILS on corrupted traces
-// (a checker that never fires is indistinguishable from no checker).
+// time-series sampling, the JSONL dump, and — most importantly — the
+// invariant checker, including proof that it actually FAILS on
+// corrupted traces (a checker that never fires is indistinguishable
+// from no checker).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -9,8 +10,8 @@
 #include <vector>
 
 #include "harness/scenario.hpp"
+#include "same_counters.hpp"
 #include "trace/jsonl.hpp"
-#include "trace/sampler.hpp"
 #include "trace/trace.hpp"
 #include "trace/verify.hpp"
 
@@ -102,33 +103,6 @@ TEST(TraceSink, StampsTimeHostAndFields) {
   EXPECT_EQ(recs[0].value, 77u);
   EXPECT_EQ(recs[0].aux, 3u);
   EXPECT_EQ(recs[0].flags, trace::kFlagSolicited);
-}
-
-// --- sampler ----------------------------------------------------------
-
-TEST(Sampler, SamplesPeriodicallyUntilStopped) {
-  sim::Scheduler sched;
-  int calls = 0;
-  trace::Sampler sampler(sched, sim::milliseconds(10), [&] {
-    trace::SamplePoint p;
-    p.rate_bps = ++calls;
-    return p;
-  });
-  sampler.start();
-  sched.run_while([&] { return sched.now() < sim::milliseconds(95); },
-                  sim::milliseconds(95));
-  sampler.stop();
-  // Immediate sample at t=0 plus one every 10 ms.
-  const auto& s = sampler.samples();
-  ASSERT_GE(s.size(), 9u);
-  EXPECT_EQ(s[0].t, 0);
-  EXPECT_EQ(s[0].rate_bps, 1.0);
-  EXPECT_EQ(s[1].t, sim::milliseconds(10));
-  // Stopped: no more samples accrue.
-  const std::size_t n = s.size();
-  sched.run_while([&] { return sched.now() < sim::milliseconds(200); },
-                  sim::milliseconds(200));
-  EXPECT_EQ(sampler.samples().size(), n);
 }
 
 // --- JSONL ------------------------------------------------------------
@@ -299,6 +273,28 @@ TEST(TraceHarness, CleanRunProducesVerifiableTrace) {
   bool nonzero_rate = false;
   for (const auto& p : r.samples) nonzero_rate |= p.rate_bps > 0;
   EXPECT_TRUE(nonzero_rate);
+}
+
+TEST(TraceHarness, SamplingLeavesTheRunUnchanged) {
+  // Samples are read where the engine checks for completion, so a
+  // sampled run executes exactly the events of the unsampled one.
+  harness::Scenario sc = traced_lan(101);
+  sc.topo.groups.push_back(net::group_b(2));
+  const harness::RunResult sampled = harness::run_transfer(sc);
+  const sim::SimTime period = sc.trace.sample_period;
+  sc.trace.sample_period = 0;
+  const harness::RunResult plain = harness::run_transfer(sc);
+  ASSERT_TRUE(sampled.completed);
+  EXPECT_TRUE(plain.samples.empty());
+  EXPECT_EQ(sampled.events_executed, plain.events_executed);
+  EXPECT_EQ(sampled.rng_digest, plain.rng_digest);
+  harness::expect_same_counters(sampled, plain);
+  EXPECT_EQ(sampled.trace_records.size(), plain.trace_records.size());
+  // One sample per period tick from t = 0 up to the run's end.
+  ASSERT_GT(sampled.samples.size(), 1u);
+  for (std::size_t k = 0; k < sampled.samples.size(); ++k) {
+    EXPECT_EQ(sampled.samples[k].t, static_cast<sim::SimTime>(k) * period);
+  }
 }
 
 TEST(TraceHarness, LossyFaultedRunStillVerifies) {
