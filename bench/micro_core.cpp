@@ -37,9 +37,12 @@ using namespace hrmc;
 // members (the multicast hot path — one clone per egress). Each sink
 // strips the header exactly like the receive path does.
 //
-// Timer churn: rearming timers in the mod_timer pattern every protocol
-// socket uses — each tick cancels its previously armed event (a
-// tombstone for the scheduler to absorb) and schedules two more.
+// Timer churn: each tick cancels its previously armed event (a
+// tombstone for the scheduler to absorb) and schedules two more. That
+// was kern::TimerList's re-arm until mod_timer began postponing a
+// pending timer in place (Scheduler::postpone, no tombstone). The
+// workload and its floors are kept; it now times the cancel path that
+// an earlier re-arm or a del_timer takes.
 // ---------------------------------------------------------------------
 
 constexpr int kFanoutReceivers = 32;
@@ -65,9 +68,10 @@ struct Churner {
   sim::EventHandle dummy;
 
   void tick() {
-    // mod_timer pattern: the previously armed deadline is cancelled
+    // Cancel + re-arm: the previously armed deadline is cancelled
     // (tombstone) and a new one armed further out; the tick itself
-    // rearms.
+    // rearms. TimerList::mod_timer would postpone that deadline in
+    // place instead (see "Timer churn" above).
     dummy.cancel();
     dummy = sched->schedule_after(period * 10, [] {});
     if (--remaining > 0) {
@@ -337,9 +341,10 @@ void BM_SchedulerChurn(benchmark::State& state) {
 BENCHMARK(BM_SchedulerChurn);
 
 void BM_SchedulerCancelChurn(benchmark::State& state) {
-  // The mod_timer pattern: most scheduled events are cancelled and
-  // rearmed before they fire. Exercises slot reuse and tombstone
-  // compaction.
+  // Most scheduled events are cancelled and rearmed before they fire.
+  // Exercises slot reuse and tombstone compaction. TimerList::mod_timer
+  // no longer works this way for a later expiry (it postpones in
+  // place), so this times the cancel path, not today's mod_timer.
   for (auto _ : state) {
     sim::Scheduler sched;
     int fired = 0;

@@ -444,8 +444,16 @@ ChaosVerdict judge_result(const ChaosSpec& spec, const RunResult& res) {
          std::to_string(res.mem_peak_bytes) + " > budget " +
          std::to_string(spec.mem_budget));
   }
-  // Packet conservation: every packet a NIC or router was offered is
-  // passed on, dropped under a named reason, or still in flight.
+  // Packet conservation: every packet a host, NIC or router was offered
+  // is passed on, dropped under a named reason, or still in flight.
+  if (!res.sender_host.rx_conserved(res.sender_host_rx_in_cpu) ||
+      !res.receiver_hosts.rx_conserved(res.receiver_hosts_rx_in_cpu)) {
+    fail("unaccounted packet: host receive counts do not close");
+  }
+  if (!res.sender_host.tx_conserved(res.sender_host_tx_in_cpu) ||
+      !res.receiver_hosts.tx_conserved(res.receiver_hosts_tx_in_cpu)) {
+    fail("unaccounted packet: host transmit counts do not close");
+  }
   if (!res.sender_nic.rx_conserved() || !res.receiver_nics.rx_conserved()) {
     fail("unaccounted packet: NIC receive counts do not close");
   }

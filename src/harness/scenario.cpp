@@ -521,6 +521,14 @@ RunResult run_transfer(const Scenario& sc) {
   for (std::size_t g = 0; g < topo.group_count(); ++g) {
     add_counters(res.routers, topo.group_router(g).counters());
   }
+  res.sender_host = topo.sender().counters();
+  res.sender_host_rx_in_cpu = topo.sender().rx_in_cpu();
+  res.sender_host_tx_in_cpu = topo.sender().tx_in_cpu();
+  for (net::Host* host : topo.receivers()) {
+    add_counters(res.receiver_hosts, host->counters());
+    res.receiver_hosts_rx_in_cpu += host->rx_in_cpu();
+    res.receiver_hosts_tx_in_cpu += host->tx_in_cpu();
+  }
 
   // Merge the rings by timestamp. stable_sort keeps each domain's
   // internal order and breaks cross-domain ties by domain index — both

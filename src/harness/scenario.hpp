@@ -172,6 +172,15 @@ struct RunResult {
   net::Router::Counters routers;
   std::uint64_t sender_nic_tx_queued = 0;
   std::uint64_t receiver_nics_tx_queued = 0;
+  // Host counters: the sender's host, and the receivers' hosts summed
+  // field-wise. The *_in_cpu counts are packets whose CPU work had not
+  // completed when the run stopped, for Host::Counters' two laws.
+  net::Host::Counters sender_host;
+  net::Host::Counters receiver_hosts;
+  std::uint64_t sender_host_rx_in_cpu = 0;
+  std::uint64_t sender_host_tx_in_cpu = 0;
+  std::uint64_t receiver_hosts_rx_in_cpu = 0;
+  std::uint64_t receiver_hosts_tx_in_cpu = 0;
 
   // Million-receiver scaling metrics.
   std::uint64_t modeled_leaves = 0;       ///< Σ population over modeled slots

@@ -5,7 +5,9 @@
 // length l, plus 150 µs of lower-layer (IP + driver) work (§5.2). A host
 // CPU executes one thing at a time, so costs serialize — this is what
 // makes feedback processing at the sender a real bottleneck at 100
-// receivers (Fig 15c) rather than free.
+// receivers (Fig 15c) rather than free. The lower-layer cost occupies no
+// CPU (DESIGN.md §6 item 1): on send it is run()'s `latency`, on receive
+// the NIC's hold (host.hpp).
 #pragma once
 
 #include <cstdint>
@@ -19,15 +21,16 @@ class Cpu {
  public:
   explicit Cpu(sim::Scheduler& sched) : sched_(&sched) {}
 
-  /// Queues `cost` of CPU work, then runs `done` when it completes.
-  /// Work requests are serviced FIFO. `done` goes straight into the
-  /// scheduler's event slot, so a small capture costs no allocation.
+  /// Queues `cost` of CPU work, then runs `done` `latency` after it
+  /// completes; the latency overlaps later work. Work requests are
+  /// serviced FIFO. `done` goes straight into the scheduler's event
+  /// slot, so a small capture costs no allocation.
   template <typename F>
-  void run(sim::SimTime cost, F&& done) {
+  void run(sim::SimTime cost, F&& done, sim::SimTime latency = 0) {
     const sim::SimTime start = std::max(sched_->now(), busy_until_);
     busy_until_ = start + cost;
     total_busy_ += cost;
-    sched_->schedule_at(busy_until_, std::forward<F>(done));
+    sched_->schedule_at(busy_until_ + latency, std::forward<F>(done));
   }
 
   /// Cumulative busy time (for utilization reporting).

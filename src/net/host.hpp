@@ -3,7 +3,12 @@
 // Owns the serialized CPU model, demuxes arriving packets to registered
 // transport protocols (the paper's Fig 4 stack: H-RMC lives beside TCP
 // and UDP above IP), and charges the per-packet processing costs from
-// §5.2 on both the send and receive paths.
+// §5.2 on both the send and receive paths. The 150 µs lower-layer cost
+// is pure latency and takes no event of its own: on send the CPU
+// completion fires that long after the protocol work ends and hands the
+// packet to the NIC; on receive the host states it as rx_latency(), the
+// NIC holds each packet that much longer, and deliver() — the CPU stage
+// — runs at the end of that one hold.
 #pragma once
 
 #include <cstdint>
@@ -51,13 +56,55 @@ class Host final : public PacketSink {
   }
   void unregister_transport(std::uint8_t proto) { transports_.erase(proto); }
 
-  /// Transmit path: stamps the source address, charges protocol +
-  /// lower-layer CPU cost, then hands the packet to the NIC.
+  /// Transmit path: stamps the source address, charges the protocol
+  /// CPU cost, and hands the packet to the NIC the lower-layer latency
+  /// after that work ends.
   void send(kern::SkBuffPtr skb);
 
-  /// PacketSink: packet arriving from the NIC. Charges receive-path CPU
-  /// cost, then demuxes to the registered transport.
+  /// PacketSink: packet arriving from the NIC, which has already held it
+  /// for rx_latency(). A down host drops it here; otherwise the
+  /// receive-path CPU cost is charged, then the packet is demuxed to the
+  /// registered transport.
   void deliver(kern::SkBuffPtr skb) override;
+
+  /// The §5.2 lower-layer (IP + driver) receive latency, applied by the
+  /// NIC in front as part of its hold.
+  [[nodiscard]] sim::SimTime rx_latency() const override {
+    return Cpu::lower_layer_cost();
+  }
+
+  /// Per-host packet counts. Each direction closes: every packet offered
+  /// is passed on (to a transport on receive, to the NIC on send),
+  /// dropped under one named reason, or still in CPU work when the run
+  /// stops (rx_in_cpu() / tx_in_cpu(), the analogue of the NIC's tx
+  /// ring). rx_conserved() and tx_conserved() state the two laws; they
+  /// are linear, so they also hold on a field-wise sum of several hosts'
+  /// counters (with their in-CPU counts summed).
+  struct Counters {
+    std::uint64_t rx_offered = 0;             ///< deliver() calls
+    std::uint64_t rx_packets = 0;             ///< handed to a transport
+    std::uint64_t rx_down_drops = 0;          ///< host down at deliver()
+    std::uint64_t rx_no_transport_drops = 0;  ///< protocol not registered
+    std::uint64_t tx_offered = 0;             ///< send() calls
+    std::uint64_t tx_packets = 0;             ///< handed to the NIC
+    std::uint64_t tx_down_drops = 0;          ///< host down at send()
+    std::uint64_t tx_no_nic_drops = 0;        ///< no NIC attached
+
+    bool operator==(const Counters&) const = default;
+
+    [[nodiscard]] bool rx_conserved(std::uint64_t in_cpu) const {
+      return rx_offered ==
+             rx_packets + rx_down_drops + rx_no_transport_drops + in_cpu;
+    }
+    [[nodiscard]] bool tx_conserved(std::uint64_t in_cpu) const {
+      return tx_offered == tx_packets + tx_down_drops + tx_no_nic_drops +
+                               in_cpu;
+    }
+  };
+  [[nodiscard]] const Counters& counters() const { return counters_; }
+  /// Packets whose receive / send CPU work has not completed yet.
+  [[nodiscard]] std::uint64_t rx_in_cpu() const { return rx_in_cpu_; }
+  [[nodiscard]] std::uint64_t tx_in_cpu() const { return tx_in_cpu_; }
 
   /// Crash state (fault injection): a down host is deaf and mute —
   /// everything it would send or receive vanishes at the host boundary.
@@ -95,6 +142,9 @@ class Host final : public PacketSink {
   Nic* nic_ = nullptr;
   GroupControl* group_control_ = nullptr;
   std::unordered_map<std::uint8_t, Transport*> transports_;
+  Counters counters_;
+  std::uint64_t rx_in_cpu_ = 0;
+  std::uint64_t tx_in_cpu_ = 0;
 };
 
 }  // namespace hrmc::net

@@ -102,8 +102,9 @@ void Nic::deliver(kern::SkBuffPtr skb) {
   ++counters_.rx_packets;
   counters_.rx_bytes += skb->wire_size();
   // Hold for the assigned path delay (the characteristic-group delay in
-  // the paper's simulation), then hand to the host stack.
-  sched_->schedule_after(cfg_.rx_delay, [this, skb = std::move(skb)]() mutable {
+  // the paper's simulation) plus the host's lower-layer latency, then
+  // hand to the host stack: one event for both pure delays.
+  sched_->schedule_after(rx_hold_, [this, skb = std::move(skb)]() mutable {
     if (host_ != nullptr) host_->deliver(std::move(skb));
   });
 }

@@ -5,7 +5,9 @@
 // *uncorrelated* share of the path loss rate, and passes it to the host.
 // Correlated loss and adversarial disturbance belong to the group router
 // (net/router.hpp); the receive path here is link state, Bernoulli loss,
-// the optional wireless fade, memory admission, then rx_delay.
+// the optional wireless fade, memory admission, then one hold of
+// rx_delay plus the attached sink's rx_latency() — for a host, its 150 µs
+// lower-layer cost — after which the sink takes the packet.
 // On the transmit side it owns a finite tx ring drained at link rate —
 // the mechanism behind the NAKs the paper observed with >1024K buffers on
 // the 100 Mbps network (Fig 13): a sender bursting more than the ring
@@ -58,8 +60,12 @@ class Nic final : public PacketSink {
 
   /// Downstream (toward the network). Set once during topology wiring.
   void attach_uplink(PacketSink* uplink) { uplink_ = uplink; }
-  /// Upstream (toward the host protocol stack).
-  void attach_host(PacketSink* host) { host_ = host; }
+  /// Upstream (toward the host protocol stack). The sink's rx_latency()
+  /// is read here and added to every receive hold.
+  void attach_host(PacketSink* host) {
+    host_ = host;
+    rx_hold_ = cfg_.rx_delay + (host != nullptr ? host->rx_latency() : 0);
+  }
 
   /// Host-side entry point: queue a packet for transmission. Drops (and
   /// counts) the packet when the tx ring is full — exactly what a real
@@ -67,7 +73,8 @@ class Nic final : public PacketSink {
   void transmit(kern::SkBuffPtr skb);
 
   /// Network-side entry point (PacketSink): a packet arriving for the
-  /// host. Applies loss, then the configured delay, then serialization.
+  /// host. Applies loss, then holds it for rx_delay plus the host's
+  /// rx_latency() and hands it to the host.
   void deliver(kern::SkBuffPtr skb) override;
 
   /// Link state (fault injection): a down link drops every packet in
@@ -165,6 +172,7 @@ class Nic final : public PacketSink {
   sim::Rng loss_rng_;
   PacketSink* uplink_ = nullptr;
   PacketSink* host_ = nullptr;
+  sim::SimTime rx_hold_ = cfg_.rx_delay;  ///< rx_delay + host rx_latency()
 
   std::deque<kern::SkBuffPtr> tx_queue_;
   bool tx_busy_ = false;

@@ -56,7 +56,11 @@ void SchedulerCore::compact() {
 SimTime SchedulerCore::next_event_time() {
   while (!heap.empty()) {
     const Entry& top = heap.front();
-    if (live(top)) return top.when;
+    if (live(top)) {
+      if (top.seq == slots[top.slot].seq) return top.when;
+      rekey_top();  // postponed: never report it early
+      continue;
+    }
     std::pop_heap(heap.begin(), heap.end(), later);
     heap.pop_back();
     assert(tombstones > 0);
@@ -78,17 +82,26 @@ bool Scheduler::step(SimTime horizon) {
   while (!c.heap.empty()) {
     const detail::SchedulerCore::Entry top = c.heap.front();
     if (top.when > horizon) return false;
-    std::pop_heap(c.heap.begin(), c.heap.end(),
-                  detail::SchedulerCore::later);
-    c.heap.pop_back();
     if (!c.live(top)) {  // cancelled tombstone
+      std::pop_heap(c.heap.begin(), c.heap.end(),
+                    detail::SchedulerCore::later);
+      c.heap.pop_back();
       assert(c.tombstones > 0);
       --c.tombstones;
       continue;
     }
+    detail::SchedulerCore::Slot& s = c.slots[top.slot];
+    // A seq names one key assignment, so a differing seq means the
+    // event was postponed after this entry was pushed.
+    if (top.seq != s.seq) {
+      c.rekey_top();
+      continue;
+    }
+    std::pop_heap(c.heap.begin(), c.heap.end(),
+                  detail::SchedulerCore::later);
+    c.heap.pop_back();
     assert(top.when >= c.now);
     c.now = top.when;
-    detail::SchedulerCore::Slot& s = c.slots[top.slot];
     // Retire the slot *before* invoking: a cancel() from inside the
     // callback (or on a stale handle) sees a bumped generation and
     // no-ops; the slot is kept off the free list until the callback —

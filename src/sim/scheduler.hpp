@@ -17,6 +17,10 @@
 // popped, or swept early by lazy compaction once tombstones exceed half
 // the queue *and* an absolute floor (so small queues never pay a
 // rebuild; sweeps are counted in compactions() for the bench).
+// postpone() moves a pending event to a time no earlier than its own
+// without touching the heap: the slot takes the new (when, seq) key, and
+// the stale entry — never later than that key — is re-keyed when it
+// reaches the top. Pop order is exactly that of cancel + schedule_at.
 // In steady state schedule_after() allocates nothing: slots
 // are reused, the heap vector's capacity is reused, and callbacks whose
 // captures fit 64 bytes are stored inline in the slot (larger ones fall
@@ -105,6 +109,10 @@ constexpr std::uint32_t kNoSlot = 0xffffffffu;
 struct SchedulerCore {
   struct Slot {
     EventFn fn;
+    /// The armed event's key. The heap entry may hold an earlier one,
+    /// left behind by postpone(); it is re-keyed when it reaches the top.
+    SimTime when = 0;
+    std::uint64_t seq = 0;
     std::uint32_t gen = 0;  ///< bumped on fire/cancel; stale entries skip
     std::uint32_t next_free = kNoSlot;
     bool armed = false;  ///< an un-fired, un-cancelled queue entry exists
@@ -150,6 +158,30 @@ struct SchedulerCore {
   }
 
   bool cancel(std::uint32_t slot, std::uint32_t gen);
+
+  /// Moves a pending event to `when`, no earlier than its current time,
+  /// under the next seq — the key cancel + schedule_at would give it.
+  /// Only the slot changes; see rekey_top().
+  bool postpone(std::uint32_t slot_idx, std::uint32_t gen, SimTime when) {
+    Slot& s = slots[slot_idx];
+    if (!s.armed || s.gen != gen || when < s.when) return false;
+    s.when = when;
+    s.seq = next_seq++;
+    return true;
+  }
+
+  /// The top entry is live but postponed since it was pushed (its seq is
+  /// not its slot's): push it again under the slot's key. The stale key
+  /// is never later than the slot's, so every entry still pops no later
+  /// than its true key would, and the true minimum surfaces with a
+  /// matching key.
+  void rekey_top() {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const Slot& s = slots[heap.back().slot];
+    heap.back().when = s.when;
+    heap.back().seq = s.seq;
+    std::push_heap(heap.begin(), heap.end(), later);
+  }
 
   /// Removes every tombstone from the heap and re-heapifies. O(n);
   /// amortized O(1) per cancel since it only runs after n/2 of them
@@ -251,9 +283,21 @@ class Scheduler {
     detail::SchedulerCore::Slot& s = c.slots[slot];
     s.fn.emplace(std::forward<F>(fn));
     s.armed = true;
-    c.heap.push_back({when, c.next_seq++, slot, s.gen});
+    s.when = when;
+    s.seq = c.next_seq++;
+    c.heap.push_back({when, s.seq, slot, s.gen});
     std::push_heap(c.heap.begin(), c.heap.end(), detail::SchedulerCore::later);
     return EventHandle{core_, slot, s.gen};
+  }
+
+  /// Moves the pending event `h` to `when`, which must be no earlier
+  /// than its current time; it then fires exactly as if cancelled and
+  /// scheduled anew at `when`, but no slot, tombstone or heap push is
+  /// spent. Returns false and changes nothing when `h` is not pending
+  /// here (fired, cancelled, running, or another scheduler's) or `when`
+  /// is earlier: the caller cancels and schedules instead.
+  bool postpone(const EventHandle& h, SimTime when) {
+    return h.core_ == core_ && core_->postpone(h.slot_, h.gen_, when);
   }
 
   /// Schedules `fn` to run `delay` after the current time.

@@ -61,6 +61,10 @@ void expect_identical(const RunResult& want, const RunResult& have,
   expect_same_counters(want, have);
   EXPECT_EQ(want.sender_nic_tx_queued, have.sender_nic_tx_queued);
   EXPECT_EQ(want.receiver_nics_tx_queued, have.receiver_nics_tx_queued);
+  EXPECT_EQ(want.sender_host_rx_in_cpu, have.sender_host_rx_in_cpu);
+  EXPECT_EQ(want.sender_host_tx_in_cpu, have.sender_host_tx_in_cpu);
+  EXPECT_EQ(want.receiver_hosts_rx_in_cpu, have.receiver_hosts_rx_in_cpu);
+  EXPECT_EQ(want.receiver_hosts_tx_in_cpu, have.receiver_hosts_tx_in_cpu);
 
   // Merged trace streams, byte for byte (TraceRecord is packed 32-byte
   // POD, so memcmp sees every field).

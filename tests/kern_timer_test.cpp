@@ -37,6 +37,21 @@ TEST(TimerList, ModTimerRearms) {
   EXPECT_EQ(sched.now(), from_jiffies(4));
 }
 
+TEST(TimerList, RearmToThePendingJiffyFiresOnceWithoutTombstones) {
+  sim::Scheduler sched;
+  int count = 0;
+  TimerList t(sched, [&] { ++count; });
+  t.mod_timer_in(3);
+  t.mod_timer_in(3);  // same expiry: postponed in place, no cancel
+  t.mod_timer_in(3);
+  EXPECT_EQ(sched.tombstones(), 0u);
+  EXPECT_EQ(sched.queued(), 1u);
+  sched.run_until();
+  EXPECT_EQ(count, 1);
+  EXPECT_EQ(sched.now(), from_jiffies(3));
+  EXPECT_EQ(sched.tombstones(), 0u);
+}
+
 TEST(TimerList, DelTimerCancels) {
   sim::Scheduler sched;
   int count = 0;

@@ -61,6 +61,32 @@ struct CountingTransport final : Transport {
   std::size_t last_size = 0;
 };
 
+/// Records each packet handed on, with the time it arrived.
+struct TimedCapture final : PacketSink {
+  explicit TimedCapture(sim::Scheduler& s) : sched(&s) {}
+  void deliver(kern::SkBuffPtr skb) override {
+    packets.push_back(std::move(skb));
+    times.push_back(sched->now());
+  }
+  sim::Scheduler* sched;
+  std::vector<kern::SkBuffPtr> packets;
+  std::vector<sim::SimTime> times;
+};
+
+struct TimedTransport final : Transport {
+  explicit TimedTransport(sim::Scheduler& s) : sched(&s) {}
+  void rx(kern::SkBuffPtr) override { times.push_back(sched->now()); }
+  sim::Scheduler* sched;
+  std::vector<sim::SimTime> times;
+};
+
+kern::SkBuffPtr make_packet(std::size_t len, std::uint8_t protocol = 200) {
+  auto pkt = kern::SkBuff::alloc(len);
+  pkt->put(len);
+  pkt->protocol = protocol;
+  return pkt;
+}
+
 TEST(Host, DemuxesByProtocol) {
   sim::Scheduler sched;
   Host host(sched, "h", make_addr(10, 0, 0, 1));
@@ -74,7 +100,7 @@ TEST(Host, DemuxesByProtocol) {
   host.deliver(std::move(pkt));
   auto pkt2 = kern::SkBuff::alloc(20);
   pkt2->put(20);
-  pkt2->protocol = 99;  // unregistered: silently dropped
+  pkt2->protocol = 99;  // unregistered: dropped and counted
   host.deliver(std::move(pkt2));
   sched.run_until();
   EXPECT_EQ(a.count, 0);
@@ -102,12 +128,7 @@ TEST(Host, SendStampsSourceAddress) {
   Nic nic(sched, "n", NicConfig{}, 1);
   host.attach_nic(&nic);
 
-  struct Capture final : PacketSink {
-    void deliver(kern::SkBuffPtr skb) override {
-      packets.push_back(std::move(skb));
-    }
-    std::vector<kern::SkBuffPtr> packets;
-  } uplink;
+  TimedCapture uplink(sched);
   nic.attach_uplink(&uplink);
 
   for (int i = 0; i < 2; ++i) {
@@ -126,14 +147,125 @@ TEST(Host, SendPathChargesCpuAndLatency) {
   Host host(sched, "h", make_addr(10, 0, 0, 7));
   Nic nic(sched, "n", NicConfig{}, 1);
   host.attach_nic(&nic);
-  auto pkt = kern::SkBuff::alloc(1000);
-  pkt->put(1000);
-  host.send(std::move(pkt));
+  TimedCapture uplink(sched);
+  nic.attach_uplink(&uplink);
+  host.send(make_packet(1000));
   sched.run_until();
-  // hrmc_cost(1000) = 35 µs occupancy + 150 µs pipelined latency before
-  // the NIC sees it; NIC then serializes.
-  EXPECT_GE(host.cpu().total_busy(), sim::microseconds(35));
+  // hrmc_cost(1000) = 35 µs of CPU, then 150 µs of pipelined latency
+  // before the NIC sees the packet, then serialization at 10 Mbit/s.
+  ASSERT_EQ(uplink.times.size(), 1u);
+  EXPECT_EQ(uplink.times[0],
+            Cpu::hrmc_cost(1000) + Cpu::lower_layer_cost() +
+                sim::transmission_time(
+                    static_cast<std::int64_t>(uplink.packets[0]->wire_size()),
+                    NicConfig{}.link_bps));
+  EXPECT_EQ(host.cpu().total_busy(), Cpu::hrmc_cost(1000));
   EXPECT_EQ(nic.counters().tx_packets, 1u);
+}
+
+/// A real NIC in front of a host, with rx_delay 2 ms.
+struct RxRig {
+  sim::Scheduler sched;
+  Host host{sched, "h", make_addr(10, 0, 0, 7)};
+  Nic nic{sched, "n", NicConfig{.rx_delay = sim::milliseconds(2)}, 1};
+  TimedTransport transport{sched};
+  RxRig() {
+    nic.attach_host(&host);
+    host.register_transport(200, &transport);
+  }
+  /// End of rx_delay, and the fold point 150 µs later where the host
+  /// takes the packet.
+  static constexpr sim::SimTime kRxDelayEnds = sim::milliseconds(2);
+  static constexpr sim::SimTime kFoldPoint =
+      sim::milliseconds(2) + sim::microseconds(150);
+};
+
+TEST(Host, ReceivePathHoldsOnceThenChargesCpu) {
+  RxRig rig;
+  rig.nic.deliver(make_packet(1000));
+  rig.sched.run_until();
+  // rx_delay + the host's 150 µs in one NIC hold, then hrmc_cost(1000)
+  // of CPU before the transport sees it.
+  ASSERT_EQ(rig.transport.times.size(), 1u);
+  EXPECT_EQ(rig.transport.times[0],
+            sim::milliseconds(2) + Cpu::lower_layer_cost() +
+                Cpu::hrmc_cost(1000));
+  EXPECT_EQ(rig.host.rx_latency(), Cpu::lower_layer_cost());
+  EXPECT_EQ(rig.host.counters().rx_packets, 1u);
+}
+
+TEST(Host, DownAtTheFoldPointDropsThePacket) {
+  // Up when rx_delay ends, down by the fold point: the host-down check
+  // runs at the fold point, so the packet is lost.
+  RxRig rig;
+  rig.nic.deliver(make_packet(1000));
+  rig.sched.schedule_at(RxRig::kRxDelayEnds + sim::microseconds(1),
+                        [&] { rig.host.set_down(true); });
+  rig.sched.run_until();
+  EXPECT_TRUE(rig.transport.times.empty());
+  EXPECT_EQ(rig.host.counters().rx_down_drops, 1u);
+}
+
+TEST(Host, UpAgainByTheFoldPointDeliversThePacket) {
+  // Down when rx_delay ends, up again by the fold point 150 µs later:
+  // the packet is delivered.
+  RxRig rig;
+  rig.host.set_down(true);
+  rig.nic.deliver(make_packet(1000));
+  rig.sched.schedule_at(RxRig::kFoldPoint - sim::microseconds(1),
+                        [&] { rig.host.set_down(false); });
+  rig.sched.run_until();
+  ASSERT_EQ(rig.transport.times.size(), 1u);
+  EXPECT_EQ(rig.transport.times[0], RxRig::kFoldPoint + Cpu::hrmc_cost(1000));
+  EXPECT_EQ(rig.host.counters().rx_down_drops, 0u);
+}
+
+TEST(Host, CountsCloseInBothDirections) {
+  // Drives every term of both laws above zero: passed on, each named
+  // drop, and packets still in CPU work.
+  sim::Scheduler sched;
+  Host host(sched, "h", make_addr(10, 0, 0, 7));
+  CountingTransport t;
+  host.register_transport(200, &t);
+  host.send(make_packet(10));  // no NIC yet
+  Nic nic(sched, "n", NicConfig{}, 1);
+  TimedCapture uplink(sched);
+  nic.attach_uplink(&uplink);
+  host.attach_nic(&nic);
+  for (int i = 0; i < 3; ++i) {
+    host.send(make_packet(10));
+    host.deliver(make_packet(10));
+  }
+  host.deliver(make_packet(10, 99));  // no transport for protocol 99
+  host.set_down(true);
+  host.send(make_packet(10));
+  host.deliver(make_packet(10));
+  host.set_down(false);
+  sched.run_until();
+  host.send(make_packet(10));  // these two are still in CPU work
+  host.deliver(make_packet(10));
+
+  const Host::Counters& c = host.counters();
+  EXPECT_EQ(c.tx_offered, 6u);
+  EXPECT_EQ(c.tx_packets, 3u);
+  EXPECT_EQ(c.tx_down_drops, 1u);
+  EXPECT_EQ(c.tx_no_nic_drops, 1u);
+  EXPECT_EQ(host.tx_in_cpu(), 1u);
+  EXPECT_EQ(c.rx_offered, 6u);
+  EXPECT_EQ(c.rx_packets, 3u);
+  EXPECT_EQ(c.rx_down_drops, 1u);
+  EXPECT_EQ(c.rx_no_transport_drops, 1u);
+  EXPECT_EQ(host.rx_in_cpu(), 1u);
+  EXPECT_TRUE(c.tx_conserved(host.tx_in_cpu()));
+  EXPECT_TRUE(c.rx_conserved(host.rx_in_cpu()));
+
+  sched.run_until();
+  EXPECT_EQ(host.tx_in_cpu(), 0u);
+  EXPECT_EQ(host.rx_in_cpu(), 0u);
+  EXPECT_TRUE(c.tx_conserved(0));
+  EXPECT_TRUE(c.rx_conserved(0));
+  EXPECT_EQ(uplink.packets.size(), c.tx_packets);
+  EXPECT_EQ(static_cast<std::uint64_t>(t.count), c.rx_packets);
 }
 
 }  // namespace

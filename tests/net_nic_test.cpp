@@ -214,6 +214,34 @@ TEST(Nic, RxDelayApplied) {
   EXPECT_EQ(host.times[0], sim::milliseconds(20));
 }
 
+TEST(Nic, RxHoldAddsTheHostsLatency) {
+  // A sink that states a receive latency gets it folded into the NIC's
+  // one hold, read when the sink is attached.
+  struct SlowSink final : PacketSink {
+    explicit SlowSink(sim::Scheduler& s) : capture(s) {}
+    void deliver(kern::SkBuffPtr skb) override {
+      capture.deliver(std::move(skb));
+    }
+    sim::SimTime rx_latency() const override {
+      return sim::microseconds(150);
+    }
+    CaptureSink capture;
+  };
+  sim::Scheduler sched;
+  NicConfig cfg;
+  cfg.rx_delay = sim::milliseconds(20);
+  Nic nic(sched, "n", cfg, 1);
+  SlowSink host(sched);
+  nic.attach_host(&host);
+
+  nic.deliver(make_packet(100));
+  sched.run_until();
+  ASSERT_EQ(host.capture.times.size(), 1u);
+  EXPECT_EQ(host.capture.times[0],
+            sim::milliseconds(20) + sim::microseconds(150));
+  EXPECT_EQ(sched.executed(), 1u);  // one event for both delays
+}
+
 TEST(Nic, RxLossIsApplied) {
   sim::Scheduler sched;
   NicConfig cfg;

@@ -14,6 +14,8 @@ inline void expect_same_counters(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.sender_nic, b.sender_nic);
   EXPECT_EQ(a.receiver_nics, b.receiver_nics);
   EXPECT_EQ(a.routers, b.routers);
+  EXPECT_EQ(a.sender_host, b.sender_host);
+  EXPECT_EQ(a.receiver_hosts, b.receiver_hosts);
 }
 
 }  // namespace hrmc::harness

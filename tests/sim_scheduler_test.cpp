@@ -4,7 +4,10 @@
 
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
+
+#include "sim/random.hpp"
 
 namespace hrmc::sim {
 namespace {
@@ -275,6 +278,117 @@ TEST(Scheduler, LargeCapturesUseHeapFallbackIntact) {
   std::uint64_t want = 0;
   for (std::size_t i = 0; i < big.size(); ++i) want += i * 3 + 1;
   EXPECT_EQ(sum, want);
+}
+
+TEST(Scheduler, PostponeFiresExactlyAsCancelAndReschedule) {
+  // Two schedulers run one seeded script of schedule, cancel, postpone
+  // and step. `moved` postpones in place; `rearmed` cancels and
+  // schedules anew instead. Postpones go later, to the same time, and
+  // earlier (refused by both). Times are coarse so ties are common and
+  // the FIFO tie-break is exercised.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    Rng rng(seed);
+    Scheduler moved, rearmed;
+    std::vector<std::pair<int, SimTime>> fired_moved, fired_rearmed;
+    std::vector<EventHandle> h_moved, h_rearmed;
+    std::vector<SimTime> at;  // each id's current time
+    int refused = 0, accepted = 0;
+    auto arm = [](Scheduler& s, std::vector<std::pair<int, SimTime>>& log,
+                  int id, SimTime when) {
+      return s.schedule_at(when, [&s, &log, id] {
+        log.emplace_back(id, s.now());
+      });
+    };
+    for (int op = 0; op < 4000; ++op) {
+      const double pick = rng.next_double();
+      if (pick < 0.3 || at.empty()) {
+        const SimTime when = moved.now() + microseconds(rng.uniform_int(0, 8));
+        const int id = static_cast<int>(at.size());
+        h_moved.push_back(arm(moved, fired_moved, id, when));
+        h_rearmed.push_back(arm(rearmed, fired_rearmed, id, when));
+        at.push_back(when);
+      } else if (pick < 0.4) {
+        const auto id = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(at.size()) - 1));
+        h_moved[id].cancel();
+        h_rearmed[id].cancel();
+      } else if (pick < 0.8) {
+        const auto id = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(at.size()) - 1));
+        const SimTime when = at[id] + microseconds(rng.uniform_int(-3, 6));
+        const bool want = h_rearmed[id].pending() && when >= at[id];
+        ASSERT_EQ(moved.postpone(h_moved[id], when), want);
+        if (want) {
+          h_rearmed[id].cancel();
+          h_rearmed[id] =
+              arm(rearmed, fired_rearmed, static_cast<int>(id), when);
+          at[id] = when;
+          ++accepted;
+        } else {
+          ++refused;
+        }
+      } else {
+        ASSERT_EQ(moved.next_event_time(), rearmed.next_event_time());
+        ASSERT_EQ(moved.queued(), rearmed.queued());
+        ASSERT_EQ(moved.step(), rearmed.step());
+      }
+    }
+    moved.run_until();
+    rearmed.run_until();
+    EXPECT_GT(accepted, 100);
+    EXPECT_GT(refused, 100);
+    EXPECT_EQ(fired_moved, fired_rearmed);
+    EXPECT_EQ(moved.executed(), rearmed.executed());
+  }
+}
+
+TEST(Scheduler, PostponedPastTheHorizonStaysPending) {
+  Scheduler s;
+  bool ran = false;
+  EventHandle h = s.schedule_at(milliseconds(5), [&] { ran = true; });
+  ASSERT_TRUE(s.postpone(h, milliseconds(20)));
+  // step() meets the stale 5 ms entry, re-keys it and stops at the
+  // horizon.
+  s.run_until(milliseconds(10));
+  EXPECT_FALSE(ran);
+  EXPECT_TRUE(h.pending());
+  EXPECT_EQ(s.now(), milliseconds(10));
+  EXPECT_EQ(s.next_event_time(), milliseconds(20));
+  // A peek re-keys too: it never reports the stale 20 ms.
+  ASSERT_TRUE(s.postpone(h, milliseconds(30)));
+  EXPECT_EQ(s.next_event_time(), milliseconds(30));
+  s.run_until();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(s.now(), milliseconds(30));
+  EXPECT_EQ(s.executed(), 1u);
+}
+
+TEST(Scheduler, PostponeFromOwnCallbackIsRefused) {
+  Scheduler s;
+  EventHandle self;
+  bool refused = false;
+  self = s.schedule_at(milliseconds(1), [&] {
+    refused = !s.postpone(self, milliseconds(2));
+  });
+  s.run_until();
+  EXPECT_TRUE(refused);
+  EXPECT_EQ(s.executed(), 1u);
+}
+
+TEST(Scheduler, CancelAfterPostponeCancels) {
+  Scheduler s;
+  bool ran = false;
+  EventHandle h = s.schedule_at(milliseconds(1), [&] { ran = true; });
+  ASSERT_TRUE(s.postpone(h, milliseconds(3)));
+  h.cancel();
+  EXPECT_FALSE(h.pending());
+  EXPECT_EQ(s.queued(), 0u);
+  EXPECT_FALSE(s.postpone(h, milliseconds(4)));  // nothing left to move
+  EXPECT_FALSE(s.postpone(EventHandle{}, milliseconds(4)));
+  s.run_until();
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(s.executed(), 0u);
 }
 
 TEST(Scheduler, HandleOutlivingSchedulerIsInert) {
