@@ -5,16 +5,12 @@
 // Runs generate_soak_spec() segments — trunk-flap trains with route
 // reconvergence, receiver link flaps, wireless fade windows, and
 // membership churn — until the accumulated *simulated* time crosses the
-// target. Every segment must pass the chaos reliability oracle (full
-// delivery to every stable receiver, no stream errors, clean
-// trace::verify) plus counter-drift checks that a single transfer makes
-// exact:
-//
-//   - the sender releases exactly file_bytes (released once, never
-//     twice, never short);
-//   - every receiver that neither churned nor crashed delivers exactly
-//     file_bytes to its application;
-//   - no NAK_ERR is ever sent under EvictionPolicy::kStall.
+// target. Every segment must pass the chaos reliability oracle
+// (judge_result): full delivery to every stable receiver, no stream
+// errors, clean trace::verify, and the counts a single transfer makes
+// exact (the sender releases exactly file_bytes, every receiver that
+// neither churned nor crashed delivers exactly file_bytes, and no
+// NAK_ERR is sent under EvictionPolicy::kStall).
 //
 // On failure the segment's spec is written as a self-contained repro
 // (replayable with `chaos --replay`) next to its trace JSONL, and the
@@ -38,13 +34,6 @@ int usage(const char* argv0) {
                "          [--max-segments K]\n",
                argv0);
   return 2;
-}
-
-bool is_churned(const hrmc::harness::ChaosSpec& spec, std::size_t receiver) {
-  for (const auto& c : spec.churn) {
-    if (c.receiver == receiver) return true;
-  }
-  return false;
 }
 
 void write_artifacts(const std::string& out_dir, int segment,
@@ -119,34 +108,13 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    std::string failure;
     const auto verdict = hrmc::harness::judge_result(spec, res);
     if (!verdict.ok) {
-      failure = verdict.failure;
-    } else if (res.sender.bytes_released != spec.file_bytes) {
-      failure = "release drift: released " +
-                std::to_string(res.sender.bytes_released) + " of " +
-                std::to_string(spec.file_bytes) + " stream bytes";
-    } else if (res.sender.nak_errs_sent != 0) {
-      failure = "NAK_ERR sent under kStall";
-    } else {
-      for (std::size_t i = 0; i < res.per_receiver.size(); ++i) {
-        if (is_churned(spec, i)) continue;  // joined late / left early
-        if (res.per_receiver[i].bytes_delivered != spec.file_bytes) {
-          failure = "delivery drift: receiver " + std::to_string(i) +
-                    " delivered " +
-                    std::to_string(res.per_receiver[i].bytes_delivered) +
-                    " of " + std::to_string(spec.file_bytes) + " bytes";
-          break;
-        }
-      }
-    }
-    if (!failure.empty()) {
       std::fprintf(stderr, "soak: segment %d (seed %llu) FAIL: %s\n",
                    segment,
                    static_cast<unsigned long long>(spec.seed),
-                   failure.c_str());
-      write_artifacts(out_dir, segment, spec, res, failure);
+                   verdict.failure.c_str());
+      write_artifacts(out_dir, segment, spec, res, verdict.failure);
       return 1;
     }
 

@@ -256,9 +256,12 @@ ChaosSpec generate_spec(std::uint64_t seed) {
   // Faults that can silence a member's feedback for a while force the
   // paper-faithful stall policy: under kEvict a generated partition
   // could legitimately evict a member mid-blackout, and the resulting
-  // NAK_ERR would read as an oracle failure. Pure reorder/duplicate/
-  // jitter never destroy packets, so any policy must survive them.
-  // Hierarchy forces kStall too (see ChaosSpec::hierarchy).
+  // NAK_ERR would read as an oracle failure. A member is dead only
+  // after kMemberTimeout (5 s) of silence, longer than any blackout
+  // drawn above, but the rule stays so that every pinned seed keeps its
+  // spec. Pure reorder/duplicate/jitter never destroy packets, so any
+  // policy must survive them. Hierarchy forces kStall too (see
+  // ChaosSpec::hierarchy).
   if (lossy_faults || s.hierarchy) {
     s.eviction = proto::EvictionPolicy::kStall;
   } else {
@@ -439,6 +442,32 @@ ChaosVerdict judge_result(const ChaosSpec& spec, const RunResult& res) {
   }
   if (res.any_stream_error) fail("receiver reported a stream error");
   if (!res.verify_ok) fail("delivered byte pattern failed verification");
+  // Counts one transfer makes exact: each byte is released once, and a
+  // receiver that never crashed or churned delivers the whole stream.
+  if (res.sender_finished && res.sender.bytes_released != spec.file_bytes) {
+    fail("release drift: released " +
+         std::to_string(res.sender.bytes_released) + " of " +
+         std::to_string(spec.file_bytes) + " stream bytes");
+  }
+  if (spec.eviction == proto::EvictionPolicy::kStall &&
+      res.sender.nak_errs_sent != 0) {
+    fail("NAK_ERR sent under kStall");
+  }
+  for (std::size_t i = 0; i < res.per_receiver.size(); ++i) {
+    const bool crashed =
+        std::ranges::any_of(spec.faults, [i](const FaultEvent& f) {
+          return f.kind == FaultKind::kReceiverCrash && f.target == i;
+        });
+    const bool churned = std::ranges::any_of(
+        spec.churn, [i](const ChurnEvent& c) { return c.receiver == i; });
+    if (crashed || churned) continue;
+    if (res.per_receiver[i].bytes_delivered != spec.file_bytes) {
+      fail("delivery drift: receiver " + std::to_string(i) + " delivered " +
+           std::to_string(res.per_receiver[i].bytes_delivered) + " of " +
+           std::to_string(spec.file_bytes) + " bytes");
+      break;
+    }
+  }
   if (spec.mem_budget > 0 && res.mem_peak_bytes > spec.mem_budget) {
     fail("memory budget exceeded: peak " +
          std::to_string(res.mem_peak_bytes) + " > budget " +

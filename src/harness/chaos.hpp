@@ -22,17 +22,23 @@
 // under adversarial conditions: every receiver expected to survive
 // delivers the full byte stream in order, the sender terminates within
 // the scenario deadline (no window-stall deadlock), no receiver
-// observes a stream error, and the run's complete trace passes
-// trace::verify with zero violations.
+// observes a stream error, the counts one transfer makes exact hold
+// (bytes released, bytes delivered by each receiver that never crashed
+// or churned, no NAK_ERR under kStall), and the run's complete trace
+// passes trace::verify with zero violations. The soak driver and the
+// sharded-engine differential judge with the same oracle.
 //
 // Scenario generation is *survivable by construction*: every crash is
 // paired with a restart, every link-down with a link-up, every
 // partition with a heal, and every disturbance with a stop — so an
 // oracle failure is a protocol bug, never a scenario that merely asked
-// the impossible. Connectivity faults force EvictionPolicy::kStall
-// (probing pauses the window rather than evicting a member that a
-// generated partition silenced; eviction behavior has its own
-// deterministic tests).
+// the impossible. Connectivity faults force EvictionPolicy::kStall, so
+// that probing pauses the window rather than evicting a member that a
+// generated partition silenced. A member is dead only after
+// kMemberTimeout (5 s) of silence, which outlasts every generated
+// blackout, but the generator keeps forcing kStall so that every pinned
+// seed keeps its spec (eviction behavior has its own deterministic
+// tests).
 #pragma once
 
 #include <cstdint>

@@ -16,12 +16,7 @@ std::vector<RunResult> ParallelRunner::run_all(
   std::vector<RunResult> results(cells.size());
   if (cells.empty()) return results;
 
-  // The lease pins our share of the process budget while the pool is
-  // live, so sharded cells running under this sweep see the claim and
-  // size their engines from the leftover instead of oversubscribing.
-  ThreadLease lease(threads_);
-  const unsigned workers =
-      std::min<std::size_t>(lease.count(), cells.size());
+  const unsigned workers = std::min<std::size_t>(threads_, cells.size());
   if (workers <= 1) {
     for (std::size_t i = 0; i < cells.size(); ++i) {
       results[i] = run_transfer(cells[i]);

@@ -21,13 +21,10 @@ namespace hrmc::harness {
 
 class ParallelRunner {
  public:
-  /// `threads == 0` resolves the worker count from the shared harness
-  /// budget (thread_budget(): HRMC_BENCH_THREADS if set — 1 forces
-  /// serial execution, e.g. for timing a baseline — otherwise
-  /// hardware_concurrency()). A nonzero count is taken as-is. While
-  /// run_all() is live the pool holds a ThreadLease, so sharded-engine
-  /// runs dispatched from inside a sweep compose against the same
-  /// budget instead of multiplying with it.
+  /// `threads == 0` resolves the worker count from the harness budget
+  /// (thread_budget(): HRMC_BENCH_THREADS if set — 1 forces serial
+  /// execution, e.g. for timing a baseline — otherwise
+  /// hardware_concurrency()). A nonzero count is taken as-is.
   explicit ParallelRunner(unsigned threads = 0);
 
   [[nodiscard]] unsigned threads() const { return threads_; }

@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <type_traits>
 
-#include "harness/thread_budget.hpp"
 #include "hrmc/modeled.hpp"
 #include "hrmc/receiver.hpp"
 #include "hrmc/sender.hpp"
@@ -414,12 +413,7 @@ RunResult run_transfer(const Scenario& sc) {
 
   unsigned threads = 1;
   if (engine) {
-    // Thread count: an explicit request is honored exactly (benches
-    // measuring a specific count depend on that); 0 takes the harness
-    // budget's leftover share, composing with any ParallelRunner above
-    // us. The lease pins the claim for the engine's whole run.
-    ThreadLease lease(sc.shard.threads);
-    threads = lease.count();
+    threads = std::max(1u, sc.shard.threads);
     engine->run(done, sc.time_limit, threads);
   } else {
     sched0.run_while([&] { return !done(); }, sc.time_limit);

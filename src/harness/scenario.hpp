@@ -89,9 +89,9 @@ struct ModeledGroup {
 /// in how same-timestamp events in different domains interleave.
 struct ShardOptions {
   bool enabled = false;
-  /// Worker threads; 0 = the harness thread budget's leftover share
-  /// (composes with ParallelRunner under HRMC_BENCH_THREADS).
-  unsigned threads = 0;
+  /// Worker threads, taken as-is (0 counts as 1). The sharded engine's
+  /// results do not depend on it.
+  unsigned threads = 1;
 };
 
 struct Scenario {

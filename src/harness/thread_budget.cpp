@@ -1,17 +1,9 @@
 #include "harness/thread_budget.hpp"
 
-#include <atomic>
 #include <cstdlib>
 #include <thread>
 
 namespace hrmc::harness {
-
-namespace {
-
-/// Threads currently held by live leases, across the whole process.
-std::atomic<unsigned> g_in_use{0};
-
-}  // namespace
 
 unsigned thread_budget() {
   if (const char* env = std::getenv("HRMC_BENCH_THREADS")) {
@@ -20,27 +12,6 @@ unsigned thread_budget() {
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw != 0 ? hw : 1;
-}
-
-ThreadLease::ThreadLease(unsigned want) : count_(want) {
-  if (count_ == 0) {
-    // Leftover-share grant: claim optimistically, retry on contention.
-    const unsigned budget = thread_budget();
-    unsigned used = g_in_use.load(std::memory_order_relaxed);
-    for (;;) {
-      const unsigned grant = budget > used ? budget - used : 1;
-      if (g_in_use.compare_exchange_weak(used, used + grant,
-                                         std::memory_order_relaxed)) {
-        count_ = grant;
-        return;
-      }
-    }
-  }
-  g_in_use.fetch_add(count_, std::memory_order_relaxed);
-}
-
-ThreadLease::~ThreadLease() {
-  g_in_use.fetch_sub(count_, std::memory_order_relaxed);
 }
 
 }  // namespace hrmc::harness

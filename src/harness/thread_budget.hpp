@@ -1,47 +1,16 @@
-// Shared thread-budget accounting for everything in the harness that
-// spawns worker threads: the ParallelRunner sweep pool and the sharded
-// simulation engine (sim::ShardEngine, via the scenario layer).
-//
-// The budget itself comes from one place — HRMC_BENCH_THREADS if set
+// Process-wide thread budget for the harness's sweep pool
+// (ParallelRunner). It comes from one place — HRMC_BENCH_THREADS if set
 // (a value of 1 forces serial execution, e.g. for timing a baseline),
 // otherwise std::thread::hardware_concurrency() — so a CI runner or a
-// user pins the whole process's parallelism with a single knob.
-//
-// ThreadLease is how consumers compose instead of multiplying: each
-// pool takes a lease for the threads it is about to spawn, and a lease
-// that does not insist on an exact count (want == 0) is granted only
-// what the budget has left over other live leases. A sweep running
-// sharded cells therefore splits the budget (outer pool x inner
-// engines never oversubscribes), while an explicit request — a bench
-// measuring 4-thread speedup, a test pinning determinism at 2 — is
-// granted exactly, because measuring a thread count is the point.
+// user pins a sweep's parallelism with a single knob. The sharded
+// engine takes its worker count from ShardOptions::threads instead,
+// which every caller sets explicitly.
 #pragma once
 
 namespace hrmc::harness {
 
-/// Process-wide thread budget: HRMC_BENCH_THREADS if set (>= 1),
-/// otherwise hardware_concurrency() (>= 1). Re-read on every call so
-/// tests can adjust the environment.
+/// HRMC_BENCH_THREADS if set (>= 1), otherwise hardware_concurrency()
+/// (>= 1). Re-read on every call so tests can adjust the environment.
 [[nodiscard]] unsigned thread_budget();
-
-/// RAII claim against the budget.
-class ThreadLease {
- public:
-  /// `want != 0`: granted exactly `want` (explicit requests are never
-  /// clipped — benches measuring a specific thread count rely on it).
-  /// `want == 0`: granted the budget minus threads other live leases
-  /// hold, floored at 1 so progress is always possible.
-  explicit ThreadLease(unsigned want = 0);
-  ~ThreadLease();
-
-  ThreadLease(const ThreadLease&) = delete;
-  ThreadLease& operator=(const ThreadLease&) = delete;
-
-  /// Threads this lease holds.
-  [[nodiscard]] unsigned count() const { return count_; }
-
- private:
-  unsigned count_;
-};
 
 }  // namespace hrmc::harness

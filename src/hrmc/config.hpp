@@ -22,14 +22,16 @@ enum class Mode {
 
 /// What the sender does with a member that stops answering PROBEs (the
 /// paper never addresses this: its release gate waits on *every* member,
-/// so one silently crashed receiver stalls the window for everyone).
+/// so one silently crashed receiver stalls the window for everyone). A
+/// member is dead once a probe to it is outstanding and nothing has been
+/// heard from it for kMemberTimeout.
 enum class EvictionPolicy {
-  /// Paper-faithful: keep probing (with backoff) and never advance the
-  /// window past data the dead member is still owed.
+  /// Paper-faithful: keep probing and never advance the window past data
+  /// the dead member is still owed.
   kStall,
-  /// Drop the member from the table after max_probe_retries unanswered
-  /// probes; the window frees and the survivors proceed. A receiver that
-  /// was merely partitioned can re-JOIN and resync.
+  /// Drop a dead member from the table; the window frees and the
+  /// survivors proceed. A receiver that was merely partitioned can
+  /// re-JOIN and resync.
   kEvict,
   /// Keep the member but stop gating releases on it: data it is owed
   /// releases unconditionally, exactly as baseline RMC would, and a
@@ -88,25 +90,25 @@ inline constexpr double kRateCutHoldoffRtts = 1.0;
 
 /// Minimum spacing between PROBEs to the same receiver.
 inline constexpr double kProbeIntervalRtts = 1.0;
-/// Cap on the probe-backoff exponent (bounds both the spacing and pow()).
-inline constexpr int kProbeBackoffCap = 6;
 /// Cap on unicast PROBEs emitted per release attempt (one scheduler
 /// event). A cold 10k-member table owes 10k probes; without the cap
 /// they leave as one 10k-packet burst in a single jiffy. Deferred
 /// members are picked up by the next release attempt via a rotating
 /// cursor, so every member is still probed within O(lacking / cap)
-/// rounds with the existing retry backoff intact.
+/// rounds.
 inline constexpr std::size_t kMaxProbesPerRound = 128;
 
 /// Local-repairer payload cache, in packets (most recently received
 /// DATA payloads kept for answering child NAKs). Bounds repairer
 /// memory; older losses fall through to the sender as forwarded NAKs.
 inline constexpr std::size_t kRepairCachePackets = 256;
-/// A registered child silent for this long is dropped from the
-/// repairer's aggregate (its leaves stop counting toward the subtree
-/// multiplicity; the sender's own tombstone machinery handles the
-/// membership record).
-inline constexpr sim::SimTime kRepairChildTimeout = sim::seconds(5);
+/// Liveness at both tree levels, in the way SRM lets silent session
+/// members lapse. Outside kStall, a repairer drops a registered child
+/// silent for this long from its aggregate (its leaves stop counting
+/// toward the subtree multiplicity), and the sender treats a lacking
+/// member as dead once a probe to it is outstanding and nothing has been
+/// heard from it (feedback of any kind, or a JOIN) for this long.
+inline constexpr sim::SimTime kMemberTimeout = sim::seconds(5);
 /// Child-side failover: after this many NAK re-sends of the same range
 /// without progress through the repairer, the child re-homes to the
 /// sender (and re-JOINs there). Guards against a crashed repairer.
@@ -156,14 +158,9 @@ struct Config {
   bool dynamic_update_timer = true;
 
   // --- Failure detection and recovery (robustness extension) ---
-  /// Policy once a member exhausts its probe-retry budget.
+  /// Policy for a member silent for kMemberTimeout with a probe
+  /// outstanding.
   EvictionPolicy eviction_policy = EvictionPolicy::kStall;
-  /// Consecutive unanswered PROBEs before a member is declared dead.
-  int max_probe_retries = 8;
-  /// Probe-spacing growth per unanswered retry. 1.0 = fixed spacing,
-  /// which is exactly the pre-extension behavior (the default, so
-  /// fault-free runs are unchanged); 2.0 = classic exponential backoff.
-  double probe_backoff = 1.0;
 
   // --- Dynamic-network resilience (robustness extension; off by default,
   // so fault-free runs are bit-identical to the unextended protocol) ---

@@ -43,6 +43,9 @@ struct McMember {
   /// an aggregating repairer or modeled population. next_expected is
   /// then the *minimum* over the represented leaves.
   std::uint32_t multiplicity = 1;
+  /// Last time any feedback or a JOIN arrived from this member. A lacking
+  /// member with a probe outstanding and silent for kMemberTimeout is
+  /// dead (Config::eviction_policy says what that costs it).
   sim::SimTime last_heard = 0;
   /// Last time a PROBE was unicast to this member (probe pacing).
   sim::SimTime last_probed = -1;
@@ -53,10 +56,6 @@ struct McMember {
   /// Sequence the outstanding probe asked about (meaningful only while
   /// probe_pending).
   kern::Seq probe_seq = 0;
-  /// Consecutive probes re-sent without any answer; resets to 0 the
-  /// moment the outstanding probe is answered. Reaching
-  /// Config::max_probe_retries declares the member dead.
-  int probe_retries = 0;
 
   // Intrusive links.
   McMember* next = nullptr;        ///< doubly linked list of all members

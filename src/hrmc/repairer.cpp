@@ -40,7 +40,7 @@ void RepairAgent::touch_child(net::Addr from, Seq seq, std::uint32_t mult,
 void RepairAgent::expire_children(sim::SimTime now) {
   if (owner_.cfg_.eviction_policy == EvictionPolicy::kStall) return;
   for (auto it = children_.begin(); it != children_.end();) {
-    if (now - it->second.last_heard > kRepairChildTimeout) {
+    if (now - it->second.last_heard > kMemberTimeout) {
       it = children_.erase(it);
     } else {
       ++it;

@@ -566,18 +566,14 @@ void HrmcSender::try_advance_window() {
   }
 }
 
-sim::SimTime HrmcSender::probe_spacing(const McMember& m) const {
+sim::SimTime HrmcSender::probe_spacing() const {
   // Probe spacing floored at one jiffy: below that, re-probes could not
   // possibly have been answered yet, and with many receivers the storm
   // of control packets starves the data path at the device queue.
-  const sim::SimTime base = std::max<sim::SimTime>(
+  return std::max<sim::SimTime>(
       static_cast<sim::SimTime>(kProbeIntervalRtts *
                                 static_cast<double>(rtt_.srtt())),
       kern::kJiffy);
-  if (cfg_.probe_backoff <= 1.0 || m.probe_retries == 0) return base;
-  const int exp = std::min(m.probe_retries, kProbeBackoffCap);
-  return static_cast<sim::SimTime>(static_cast<double>(base) *
-                                   std::pow(cfg_.probe_backoff, exp));
 }
 
 void HrmcSender::refresh_lacking(Seq release_seq) {
@@ -601,6 +597,7 @@ void HrmcSender::probe_lacking_members(Seq release_seq) {
   const sim::SimTime now = host_.scheduler().now();
 
   refresh_lacking(release_seq);
+  const sim::SimTime spacing = probe_spacing();
   std::vector<McMember*> lacking;
   std::size_t keep = 0;
   for (McMember* m : lacking_cache_) {
@@ -608,7 +605,7 @@ void HrmcSender::probe_lacking_members(Seq release_seq) {
       continue;  // caught up since the cache was built: compact
     }
     lacking_cache_[keep++] = m;
-    if (now - m->last_probed >= probe_spacing(*m)) lacking.push_back(m);
+    if (now - m->last_probed >= spacing) lacking.push_back(m);
   }
   lacking_cache_.resize(keep);
   if (lacking.empty()) return;
@@ -616,14 +613,7 @@ void HrmcSender::probe_lacking_members(Seq release_seq) {
               lacking.size());
 
   const auto mark_probed = [&](McMember& m) {
-    if (m.probe_pending) {
-      // Re-probing while the previous probe is unanswered: one step
-      // closer to declaring the member dead.
-      if (m.probe_retries < std::numeric_limits<int>::max()) {
-        ++m.probe_retries;
-      }
-      stats_.probe_retries++;
-    }
+    if (m.probe_pending) stats_.probe_retries++;  // previous one unanswered
     m.last_probed = now;
     m.probe_pending = true;
     m.probe_seq = release_seq;
@@ -663,13 +653,14 @@ void HrmcSender::probe_lacking_members(Seq release_seq) {
 bool HrmcSender::resolve_dead_members(Seq release_seq) {
   if (cfg_.eviction_policy == EvictionPolicy::kStall) return false;
 
+  const sim::SimTime now = host_.scheduler().now();
   bool any_dead = false;
   bool live_member_lacking = false;
   std::vector<net::Addr> dead;
   refresh_lacking(release_seq);
   for (const McMember* m : lacking_cache_) {
     if (!seq_before(m->next_expected, release_seq)) continue;
-    if (member_dead(*m)) {
+    if (member_dead(*m, now)) {
       any_dead = true;
       dead.push_back(m->addr);
     } else {
@@ -774,7 +765,6 @@ void HrmcSender::heard_from(McMember& m, Seq pos, bool solicited) {
     return;  // unsolicited, and short of what the probe asked about
   }
   m.probe_pending = false;
-  m.probe_retries = 0;
 }
 
 McMember* HrmcSender::refresh_member(net::Addr addr, Seq next_expected,
@@ -986,6 +976,7 @@ void HrmcSender::process_agg_update(const Header& h, net::Addr from) {
 
 void HrmcSender::process_join(const Header& h, net::Addr from) {
   stats_.joins_received++;
+  const sim::SimTime now = host_.scheduler().now();
   // An explicit (re-)JOIN always clears the departure tombstone: the
   // receiver is unambiguously announcing itself, not straggling.
   recently_left_.erase(from);
@@ -1004,9 +995,8 @@ void HrmcSender::process_join(const Header& h, net::Addr from) {
     stats_.resync_joins_received++;
     McMember* m = members_.find(from);
     if (m == nullptr) m = members_.add(from, snd_nxt_);
-    m->last_heard = host_.scheduler().now();
+    m->last_heard = now;
     m->probe_pending = false;
-    m->probe_retries = 0;
     emit_control_packet(PacketType::kJoinResponse, from, m->next_expected,
                         rate_.rate(), 0, /*urg=*/false, /*fin=*/false);
     return;
@@ -1023,11 +1013,10 @@ void HrmcSender::process_join(const Header& h, net::Addr from) {
     // JOIN_RESPONSE on the next jiffy — receivers in kJoining accept it
     // regardless of addressing, so a flash crowd of 10k JOINs inside
     // one RTT costs 10k inserts plus a single control packet.
-    const sim::SimTime now = host_.scheduler().now();
     if (now - last_join_at_ > kern::kJiffy) joins_since_flush_ = 0;
     last_join_at_ = now;
     ++joins_since_flush_;
-    members_.add(from, anchor);
+    members_.add(from, anchor)->last_heard = now;
     if (join_batch_pending_) return;
     if (joins_since_flush_ >= cfg_.join_batch_threshold) {
       join_batch_pending_ = true;
@@ -1038,8 +1027,8 @@ void HrmcSender::process_join(const Header& h, net::Addr from) {
     // A JOIN answers the first data packet the receiver saw: it carries
     // the only RTT evidence the sender gets from loss-free receivers in
     // RMC mode (worst-RTT estimation starts here).
-    take_rtt_sample_for(h.seq, host_.scheduler().now());
-    members_.add(from, anchor);
+    take_rtt_sample_for(h.seq, now);
+    members_.add(from, anchor)->last_heard = now;
   }
   emit_control_packet(PacketType::kJoinResponse, from, snd_nxt_,
                       rate_.rate(), 0, /*urg=*/false, /*fin=*/false);

@@ -161,12 +161,12 @@ class HrmcSender final : public net::Transport {
   /// head may release despite incomplete information (members evicted
   /// under kEvict, or every lacking member dead under kRmcFallback).
   bool resolve_dead_members(kern::Seq release_seq);
-  [[nodiscard]] bool member_dead(const McMember& m) const {
-    return m.probe_pending && m.probe_retries >= cfg_.max_probe_retries;
+  [[nodiscard]] bool member_dead(const McMember& m,
+                                 sim::SimTime now) const {
+    return m.probe_pending && now - m.last_heard >= kMemberTimeout;
   }
-  /// Per-member probe spacing: the base interval grown by the
-  /// configured backoff for each unanswered retry.
-  [[nodiscard]] sim::SimTime probe_spacing(const McMember& m) const;
+  /// Minimum spacing between probes to one member.
+  [[nodiscard]] sim::SimTime probe_spacing() const;
   void transmit_record(TxRecord& rec, bool retransmission);
 
   // Feedback processing.

@@ -1,7 +1,6 @@
 #include "sim/random.hpp"
 
 #include <cassert>
-#include <cmath>
 
 namespace hrmc::sim {
 namespace {
@@ -65,15 +64,6 @@ bool Rng::chance(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return next_double() < p;
-}
-
-double Rng::exponential(double mean) {
-  assert(mean > 0.0);
-  double u;
-  do {
-    u = next_double();
-  } while (u <= 0.0);
-  return -mean * std::log(u);
 }
 
 std::uint64_t substream_seed(std::uint64_t root, std::string_view label) {

@@ -35,9 +35,6 @@ class Rng {
   /// Bernoulli trial: true with probability p (clamped to [0,1]).
   bool chance(double p);
 
-  /// Exponentially distributed value with the given mean (> 0).
-  double exponential(double mean);
-
   // Satisfies UniformRandomBitGenerator so <algorithm> shuffles work.
   using result_type = std::uint64_t;
   static constexpr result_type min() { return 0; }

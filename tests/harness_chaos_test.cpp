@@ -116,6 +116,63 @@ TEST(Chaos, TruncatedTraceFailsOracle) {
                            " records dropped, invariants unchecked");
 }
 
+TEST(Chaos, OracleChecksTheCountsATransferMakesExact) {
+  // Seed 8 runs kStall over three receivers: it crashes (and restarts)
+  // receiver 0 and churns receiver 1, so only receiver 2 owes its count.
+  const ChaosSpec s = generate_spec(8);
+  ASSERT_EQ(s.eviction, proto::EvictionPolicy::kStall);
+  ASSERT_EQ(s.receiver_count(), 3u);
+  ASSERT_EQ(s.faults[0].kind, net::FaultKind::kReceiverCrash);
+  ASSERT_EQ(s.faults[0].target, 0u);
+  ASSERT_EQ(s.churn.size(), 1u);
+  ASSERT_EQ(s.churn[0].receiver, 1u);
+  const RunResult r = run_transfer(to_scenario(s));
+  ASSERT_TRUE(judge_result(s, r).ok);
+  const std::string short_by_one = std::to_string(s.file_bytes - 1);
+  const std::string whole = std::to_string(s.file_bytes);
+
+  RunResult bad = r;
+  bad.sender.bytes_released -= 1;
+  EXPECT_EQ(judge_result(s, bad).failure, "release drift: released " +
+                                              short_by_one + " of " + whole +
+                                              " stream bytes");
+
+  bad = r;
+  bad.sender.nak_errs_sent = 1;
+  EXPECT_EQ(judge_result(s, bad).failure, "NAK_ERR sent under kStall");
+  ChaosSpec fallback = s;
+  fallback.eviction = proto::EvictionPolicy::kRmcFallback;
+  EXPECT_TRUE(judge_result(fallback, bad).ok);
+
+  bad = r;
+  bad.per_receiver[2].bytes_delivered -= 1;
+  EXPECT_EQ(judge_result(s, bad).failure, "delivery drift: receiver 2 "
+                                          "delivered " +
+                                              short_by_one + " of " + whole +
+                                              " bytes");
+  for (std::size_t i : {0, 1}) {  // crashed, churned: no count owed
+    bad = r;
+    bad.per_receiver[i].bytes_delivered -= 1;
+    EXPECT_TRUE(judge_result(s, bad).ok) << "receiver " << i;
+  }
+}
+
+TEST(Chaos, Seed1844KeepsEveryLiveMember) {
+  // Chaos seed 1844: kRmcFallback, a group-C and a group-A subtree of
+  // three receivers each, no faults. Probes queued behind the sender's
+  // own tx ring once counted as unanswered retries, so the sender
+  // released past a live member and that member's NAK for the released
+  // data earned a NAK_ERR. A member is dead only after kMemberTimeout of
+  // silence.
+  const ChaosSpec s = generate_spec(1844);
+  ASSERT_EQ(s.eviction, proto::EvictionPolicy::kRmcFallback);
+  ASSERT_TRUE(s.faults.empty());
+  const RunResult r = run_transfer(to_scenario(s));
+  EXPECT_EQ(r.sender.dead_member_releases, 0u);
+  const ChaosVerdict v = judge_result(s, r);
+  EXPECT_TRUE(v.ok) << v.failure;
+}
+
 TEST(Chaos, JudgeIsDeterministic) {
   const ChaosSpec s = generate_spec(17);
   const ChaosVerdict a = judge(s);

@@ -20,7 +20,6 @@
 
 #include "harness/chaos.hpp"
 #include "harness/scenario.hpp"
-#include "harness/thread_budget.hpp"
 #include "same_counters.hpp"
 
 namespace hrmc::harness {
@@ -308,29 +307,6 @@ TEST(ShardDifferential, SamplesAreThreadCountInvariantAndScheduleNoEvents) {
   bool nonzero_rate = false;
   for (const SamplePoint& p : one.samples) nonzero_rate |= p.rate_bps > 0;
   EXPECT_TRUE(nonzero_rate);
-}
-
-TEST(ThreadBudget, ExplicitLeaseIsGrantedExactly) {
-  ThreadLease a(4);
-  EXPECT_EQ(a.count(), 4u);
-  ThreadLease b(7);
-  EXPECT_EQ(b.count(), 7u);
-}
-
-TEST(ThreadBudget, LeftoverShareFloorsAtOne) {
-  // Claim the whole budget explicitly; a flexible lease must still be
-  // granted one thread so progress is always possible.
-  ThreadLease hog(thread_budget());
-  ThreadLease flexible(0);
-  EXPECT_EQ(flexible.count(), 1u);
-}
-
-TEST(ThreadBudget, LeftoverShareSplitsTheBudget) {
-  const unsigned budget = thread_budget();
-  ThreadLease all(0);
-  EXPECT_EQ(all.count(), budget);
-  ThreadLease rest(0);
-  EXPECT_EQ(rest.count(), 1u);  // nothing left over while `all` lives
 }
 
 }  // namespace

@@ -160,8 +160,6 @@ DepartureOutcome mass_departure(EvictionPolicy policy, unsigned n) {
   cfg.eviction_policy = policy;
   cfg.join_batch_threshold = 8;
   cfg.mcast_probe_threshold = 16;
-  cfg.max_probe_retries = 3;
-  cfg.probe_backoff = 2.0;
   cfg.minbuf_rtts = 1;
   Rig rig(cfg);
   for (unsigned i = 0; i < n; ++i) {

@@ -22,15 +22,12 @@ Workload small_mem_workload(std::uint64_t bytes = 512 * 1024) {
 }
 
 /// Three receivers on a clean LAN; receiver 2 crashes half a second in,
-/// while the transfer is still running. Fast probe-retry settings so the
-/// tests don't wait out the paper's conservative defaults.
+/// while the transfer is still running.
 Scenario crash_scenario(proto::EvictionPolicy policy, std::uint64_t seed) {
   Workload wl = small_mem_workload(2 * 1024 * 1024);
   Scenario sc = lan_scenario(3, 10e6, 256 << 10, wl, seed);
   sc.topo.groups[0].loss_rate = 0.0;
   sc.proto.eviction_policy = policy;
-  sc.proto.max_probe_retries = 5;
-  sc.proto.probe_backoff = 2.0;
   sc.time_limit = sim::seconds(60);
   sc.faults.crash(2, sim::milliseconds(500));
   return sc;
@@ -48,8 +45,8 @@ TEST(Fault, CrashUnderEvictCompletesForSurvivors) {
   EXPECT_TRUE(r.verify_ok);
   EXPECT_FALSE(r.completed);  // the crashed receiver never finished
   EXPECT_GT(r.sender.probe_retries, 0u);
-  // The stall is bounded by the probe-retry schedule, not the time
-  // limit: well under the 60 s budget.
+  // The stall is bounded by the member timeout, not the time limit:
+  // well under the 60 s budget.
   EXPECT_LT(r.sender.window_stall_time, sim::seconds(30));
 }
 
@@ -80,13 +77,40 @@ TEST(Fault, CrashUnderRmcFallbackCompletes) {
   EXPECT_TRUE(r.verify_ok);
 }
 
+/// Time of the first `kind` record in a traced run; -1 when none.
+sim::SimTime first_record(const RunResult& r, trace::EventKind kind) {
+  for (const trace::TraceRecord& rec : r.trace_records) {
+    if (rec.kind == kind) return rec.t;
+  }
+  return -1;
+}
+
+TEST(Fault, EvictAtDefaultsKeepsLiveMembers) {
+  // Probes queue behind the sender's own tx ring, so a live member can
+  // leave several probes unanswered; only 5 s of silence makes it dead.
+  // The one crash at 0.5 s is the only death: no live member is evicted
+  // or released past before it.
+  Scenario sc = crash_scenario(proto::EvictionPolicy::kEvict, 1);
+  sc.trace.enabled = true;
+  const RunResult evict = run_transfer(sc);
+  EXPECT_EQ(evict.sender.members_evicted, 1u);
+  EXPECT_GT(first_record(evict, trace::EventKind::kEvict),
+            sim::milliseconds(500));
+  EXPECT_EQ(evict.survivor_count, 2);
+  EXPECT_EQ(evict.survivors_completed, 2);
+
+  sc.proto.eviction_policy = proto::EvictionPolicy::kRmcFallback;
+  const RunResult fallback = run_transfer(sc);
+  EXPECT_GT(first_record(fallback, trace::EventKind::kDeadRelease),
+            sim::milliseconds(500));
+  EXPECT_EQ(fallback.survivors_completed, 2);
+}
+
 TEST(Fault, CrashRestartRejoinsAndResyncs) {
   Workload wl = small_mem_workload(2 * 1024 * 1024);
   Scenario sc = lan_scenario(2, 10e6, 256 << 10, wl, 63);
   sc.topo.groups[0].loss_rate = 0.0;
   sc.proto.eviction_policy = proto::EvictionPolicy::kEvict;
-  sc.proto.max_probe_retries = 5;
-  sc.proto.probe_backoff = 2.0;
   sc.time_limit = sim::seconds(60);
   sc.faults.crash(1, sim::milliseconds(500))
       .restart(1, sim::milliseconds(1500));

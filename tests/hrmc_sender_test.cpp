@@ -432,14 +432,13 @@ TEST_F(SenderTest, UnsolicitedUpdateClearsProbeWithoutSampling) {
 TEST_F(SenderTest, ProbeBookkeepingSurvivesSequenceWrap) {
   // Regression: probe_seq == 0 doubled as "no probe outstanding", so a
   // probe for a release gate that lands exactly on sequence 0 (after
-  // the 2^32 wrap) never counted its retries and the lacking member
+  // the 2^32 wrap) never counted as outstanding and the lacking member
   // could not be declared dead — the window stalled forever. The
   // explicit probe_pending flag decouples the two.
   Config cfg;
   cfg.initial_seq = static_cast<kern::Seq>(0) - 2000;  // wrap mid-stream
   cfg.mss = 1000;
   cfg.eviction_policy = EvictionPolicy::kEvict;
-  cfg.max_probe_retries = 3;
   make_sender(cfg);
   inject_from(0, PacketType::kJoin, cfg.initial_seq);
   run_for(sim::milliseconds(50));
@@ -456,10 +455,62 @@ TEST_F(SenderTest, ProbeBookkeepingSurvivesSequenceWrap) {
     probed_at_zero |= h.seq == 0;
   }
   EXPECT_TRUE(probed_at_zero);
-  // ...their retries counted, and the silent member was evicted, which
-  // unblocks the window and lets the sender finish.
+  // ...their re-probes counted, and the silent member was evicted,
+  // which unblocks the window and lets the sender finish.
   EXPECT_GT(snd_->stats().probe_retries, 0u);
   EXPECT_EQ(snd_->stats().members_evicted, 1u);
+  EXPECT_TRUE(snd_->finished());
+}
+
+TEST_F(SenderTest, MemberIsDeadAfterMemberTimeoutOfSilenceAndJoinRestartsIt) {
+  // Both receivers JOIN, then never answer a probe. Receiver 1 JOINs
+  // again at 4.9 s. Each is dead once kMemberTimeout has passed since
+  // the sender last heard from it, with its probe outstanding all along.
+  Config cfg;
+  cfg.eviction_policy = EvictionPolicy::kEvict;
+  make_sender(cfg);
+  const net::Addr a0 = topo_->receiver(0).addr();
+  const net::Addr a1 = topo_->receiver(1).addr();
+  inject_from(0, PacketType::kJoin, Config::kInitialSeq);
+  inject_from(1, PacketType::kJoin, Config::kInitialSeq);
+  offer(1024);
+  snd_->close();
+  run_for(sim::milliseconds(50));
+  const McMember* m0 = snd_->members().find(a0);
+  ASSERT_NE(m0, nullptr);
+  const sim::SimTime joined = m0->last_heard;
+  EXPECT_GT(joined, 0);  // the JOIN itself is news from the member
+
+  // The second JOIN names the stream head, which no sent packet holds,
+  // so it gives no RTT sample and leaves the release hold alone.
+  sched_.run_until(sim::milliseconds(4900));
+  inject_from(1, PacketType::kJoin, snd_->snd_nxt());
+  run_for(sim::milliseconds(50));
+  const McMember* m1 = snd_->members().find(a1);
+  ASSERT_NE(m1, nullptr);
+  const sim::SimTime rejoined = m1->last_heard;
+  EXPECT_GT(rejoined, sim::milliseconds(4900));
+
+  // Just under the bound: both are kept, probes still outstanding.
+  sched_.run_until(joined + kMemberTimeout - kern::kJiffy);
+  ASSERT_NE(snd_->members().find(a0), nullptr);
+  EXPECT_TRUE(snd_->members().find(a0)->probe_pending);
+  EXPECT_EQ(snd_->stats().members_evicted, 0u);
+
+  // Just over it: receiver 0 is evicted. Receiver 1's clock restarted
+  // at its second JOIN, so it stays.
+  sched_.run_until(joined + kMemberTimeout + 2 * kern::kJiffy);
+  EXPECT_EQ(snd_->members().find(a0), nullptr);
+  ASSERT_NE(snd_->members().find(a1), nullptr);
+  EXPECT_TRUE(snd_->members().find(a1)->probe_pending);
+  EXPECT_EQ(snd_->stats().members_evicted, 1u);
+  EXPECT_FALSE(snd_->finished());
+
+  sched_.run_until(rejoined + kMemberTimeout - kern::kJiffy);
+  EXPECT_NE(snd_->members().find(a1), nullptr);
+  sched_.run_until(rejoined + kMemberTimeout + 2 * kern::kJiffy);
+  EXPECT_EQ(snd_->members().find(a1), nullptr);
+  EXPECT_EQ(snd_->stats().members_evicted, 2u);
   EXPECT_TRUE(snd_->finished());
 }
 

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 namespace hrmc::sim {
@@ -67,14 +66,6 @@ TEST(Rng, ChanceMatchesProbability) {
   }
   const double p = static_cast<double>(hits) / n;
   EXPECT_NEAR(p, 0.3, 0.01);
-}
-
-TEST(Rng, ExponentialHasRequestedMean) {
-  Rng r(17);
-  double sum = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += r.exponential(5.0);
-  EXPECT_NEAR(sum / n, 5.0, 0.15);
 }
 
 TEST(Rng, SatisfiesUniformRandomBitGenerator) {
