@@ -490,6 +490,12 @@ ChaosVerdict judge_result(const ChaosSpec& spec, const RunResult& res) {
       !res.receiver_nics.tx_conserved(res.receiver_nics_tx_queued)) {
     fail("unaccounted packet: NIC transmit counts do not close");
   }
+  if (!res.sender_nic.rx_handed_off(res.sender_host.rx_offered,
+                                    res.sender_nic_rx_held) ||
+      !res.receiver_nics.rx_handed_off(res.receiver_hosts.rx_offered,
+                                       res.receiver_nics_rx_held)) {
+    fail("unaccounted packet: NIC hand-offs and host intake do not close");
+  }
   if (!res.routers.ingress_conserved()) {
     fail("unaccounted packet: router ingress counts do not close");
   }

@@ -507,9 +507,11 @@ RunResult run_transfer(const Scenario& sc) {
 
   res.sender_nic = topo.sender_nic().counters();
   res.sender_nic_tx_queued = topo.sender_nic().tx_queue_len();
+  res.sender_nic_rx_held = topo.sender_nic().rx_held();
   for (std::size_t i = 0; i < topo.receiver_count(); ++i) {
     add_counters(res.receiver_nics, topo.receiver_nic(i).counters());
     res.receiver_nics_tx_queued += topo.receiver_nic(i).tx_queue_len();
+    res.receiver_nics_rx_held += topo.receiver_nic(i).rx_held();
   }
   res.routers = topo.backbone().counters();
   for (std::size_t g = 0; g < topo.group_count(); ++g) {

@@ -167,11 +167,15 @@ struct RunResult {
   // and all routers (backbone and group routers) each summed field-wise.
   // The *_tx_queued counts are what those NICs' tx rings still held when
   // the run stopped: in flight, not lost, for Nic::Counters::tx_conserved.
+  // The *_rx_held counts are what their receive holds still held, for
+  // Nic::Counters::rx_handed_off against the hosts' rx_offered.
   net::Nic::Counters sender_nic;
   net::Nic::Counters receiver_nics;
   net::Router::Counters routers;
   std::uint64_t sender_nic_tx_queued = 0;
   std::uint64_t receiver_nics_tx_queued = 0;
+  std::uint64_t sender_nic_rx_held = 0;
+  std::uint64_t receiver_nics_rx_held = 0;
   // Host counters: the sender's host, and the receivers' hosts summed
   // field-wise. The *_in_cpu counts are packets whose CPU work had not
   // completed when the run stopped, for Host::Counters' two laws.

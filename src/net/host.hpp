@@ -8,7 +8,10 @@
 // completion fires that long after the protocol work ends and hands the
 // packet to the NIC; on receive the host states it as rx_latency(), the
 // NIC holds each packet that much longer, and deliver() — the CPU stage
-// — runs at the end of that one hold.
+// — runs at the end of that packet's hold, when the NIC's hold FIFO
+// hands it over (nic.hpp). The NIC is deliver()'s only caller, so the
+// NIC's rx_packets equal this host's rx_offered plus the packets the NIC
+// still holds (Nic::Counters::rx_handed_off).
 #pragma once
 
 #include <cstdint>

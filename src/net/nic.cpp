@@ -1,5 +1,7 @@
 #include "net/nic.hpp"
 
+#include <algorithm>
+
 #include "kern/mem.hpp"
 
 namespace hrmc::net {
@@ -103,10 +105,35 @@ void Nic::deliver(kern::SkBuffPtr skb) {
   counters_.rx_bytes += skb->wire_size();
   // Hold for the assigned path delay (the characteristic-group delay in
   // the paper's simulation) plus the host's lower-layer latency, then
-  // hand to the host stack: one event for both pure delays.
-  sched_->schedule_after(rx_hold_, [this, skb = std::move(skb)]() mutable {
-    if (host_ != nullptr) host_->deliver(std::move(skb));
-  });
+  // hand to the host stack: one event for both pure delays. The key is
+  // taken now, so the hand-off fires where an event scheduled now would;
+  // only the FIFO's head is in the scheduler.
+  const sim::EventKey key = sched_->take_key(sched_->now() + rx_hold_);
+  if (held_ == 0) sched_->schedule_keyed(key, [this] { hand_off_head(); });
+  push_held({key, std::move(skb)});
+}
+
+void Nic::push_held(Held h) {
+  if (held_ == hold_.size()) {
+    std::vector<Held> grown(std::max<std::size_t>(8, 2 * hold_.size()));
+    for (std::size_t i = 0; i < held_; ++i) {
+      grown[i] = std::move(hold_[(hold_head_ + i) & (hold_.size() - 1)]);
+    }
+    hold_.swap(grown);
+    hold_head_ = 0;
+  }
+  hold_[(hold_head_ + held_) & (hold_.size() - 1)] = std::move(h);
+  ++held_;
+}
+
+void Nic::hand_off_head() {
+  kern::SkBuffPtr skb = std::move(hold_[hold_head_].skb);
+  hold_head_ = (hold_head_ + 1) & (hold_.size() - 1);
+  if (--held_ > 0) {
+    sched_->schedule_keyed(hold_[hold_head_].key,
+                           [this] { hand_off_head(); });
+  }
+  if (host_ != nullptr) host_->deliver(std::move(skb));
 }
 
 }  // namespace hrmc::net

@@ -7,7 +7,12 @@
 // (net/router.hpp); the receive path here is link state, Bernoulli loss,
 // the optional wireless fade, memory admission, then one hold of
 // rx_delay plus the attached sink's rx_latency() — for a host, its 150 µs
-// lower-layer cost — after which the sink takes the packet.
+// lower-layer cost — after which the sink takes the packet. Every hold on
+// a card is equally long, so held packets leave in arrival order: the
+// card keeps them in one FIFO, each with the scheduler key taken when it
+// arrived, and only the head has a scheduler event. That event hands the
+// head to the sink and inserts the next head's under its stored key, so
+// each packet leaves exactly where an event of its own would have fired.
 // On the transmit side it owns a finite tx ring drained at link rate —
 // the mechanism behind the NAKs the paper observed with >1024K buffers on
 // the 100 Mbps network (Fig 13): a sender bursting more than the ring
@@ -18,6 +23,7 @@
 #include <deque>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "kern/jiffies.hpp"
 #include "net/loss.hpp"
@@ -60,8 +66,9 @@ class Nic final : public PacketSink {
 
   /// Downstream (toward the network). Set once during topology wiring.
   void attach_uplink(PacketSink* uplink) { uplink_ = uplink; }
-  /// Upstream (toward the host protocol stack). The sink's rx_latency()
-  /// is read here and added to every receive hold.
+  /// Upstream (toward the host protocol stack). Set once during
+  /// topology wiring: the sink's rx_latency() is read here and added to
+  /// every receive hold.
   void attach_host(PacketSink* host) {
     host_ = host;
     rx_hold_ = cfg_.rx_delay + (host != nullptr ? host->rx_latency() : 0);
@@ -76,6 +83,10 @@ class Nic final : public PacketSink {
   /// host. Applies loss, then holds it for rx_delay plus the host's
   /// rx_latency() and hands it to the host.
   void deliver(kern::SkBuffPtr skb) override;
+
+  /// Packets accepted on receive and not yet handed to the host: counted
+  /// in rx_packets, not yet in the host's rx_offered.
+  [[nodiscard]] std::size_t rx_held() const { return held_; }
 
   /// Link state (fault injection): a down link drops every packet in
   /// both directions at the card boundary, counted as
@@ -119,6 +130,13 @@ class Nic final : public PacketSink {
     [[nodiscard]] bool rx_conserved() const {
       return rx_offered == rx_packets + rx_link_down_drops + rx_loss_drops +
                                wireless_drops + mem_drops;
+    }
+    /// The hand-off to the host: every packet passed on is either offered
+    /// to the host (`host_rx_offered`, its Host::Counters::rx_offered) or
+    /// still in the receive hold (`held`, rx_held()).
+    [[nodiscard]] bool rx_handed_off(std::uint64_t host_rx_offered,
+                                     std::uint64_t held) const {
+      return rx_packets == host_rx_offered + held;
     }
     /// `in_ring`: packets still waiting in the tx ring (tx_queue_len()).
     [[nodiscard]] bool tx_conserved(std::uint64_t in_ring) const {
@@ -164,7 +182,15 @@ class Nic final : public PacketSink {
   }
 
  private:
+  /// A packet in the receive hold and the key its hand-off fires under.
+  struct Held {
+    sim::EventKey key;
+    kern::SkBuffPtr skb;
+  };
+
   void drain_tx();
+  void push_held(Held h);
+  void hand_off_head();
 
   sim::Scheduler* sched_;
   std::string name_;
@@ -173,6 +199,13 @@ class Nic final : public PacketSink {
   PacketSink* uplink_ = nullptr;
   PacketSink* host_ = nullptr;
   sim::SimTime rx_hold_ = cfg_.rx_delay;  ///< rx_delay + host rx_latency()
+
+  // Receive hold: a ring of accepted packets in arrival order, hence in
+  // key order. It allocates nothing before the first packet and doubles
+  // when full.
+  std::vector<Held> hold_;
+  std::size_t hold_head_ = 0;  ///< index of the oldest packet
+  std::size_t held_ = 0;
 
   std::deque<kern::SkBuffPtr> tx_queue_;
   bool tx_busy_ = false;

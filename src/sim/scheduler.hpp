@@ -10,9 +10,11 @@
 // via a monotone sequence number). This makes every run a pure function
 // of (scenario, seed).
 //
-// Storage: callbacks live in a slab of recycled slots (a deque, so slots
-// never move), and the priority queue holds 24-byte POD entries that
-// reference slots by (index, generation). Cancellation bumps the slot's
+// Storage: callbacks live in a slab of recycled slots, kept in fixed
+// 64-slot chunks reached by shift and mask (growth adds a chunk, so
+// slots never move), and the priority queue holds 24-byte POD entries
+// that reference slots by (index, generation), ordered by a comparator
+// object the heap algorithms inline. Cancellation bumps the slot's
 // generation — the queue entry becomes a tombstone that is skipped when
 // popped, or swept early by lazy compaction once tombstones exceed half
 // the queue *and* an absolute floor (so small queues never pay a
@@ -21,6 +23,11 @@
 // without touching the heap: the slot takes the new (when, seq) key, and
 // the stale entry — never later than that key — is re-keyed when it
 // reaches the top. Pop order is exactly that of cancel + schedule_at.
+// take_key() hands out the (when, seq) key schedule_at() would give an
+// event now, and schedule_keyed() inserts the event under it later: it
+// then fires exactly where schedule_at() at key time would have put it.
+// A FIFO delay line (the NIC's receive hold) uses the pair to keep one
+// pending event, for its head, instead of one per element.
 // In steady state schedule_after() allocates nothing: slots
 // are reused, the heap vector's capacity is reused, and callbacks whose
 // captures fit 64 bytes are stored inline in the slot (larger ones fall
@@ -30,7 +37,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -41,6 +48,14 @@
 namespace hrmc::sim {
 
 class Scheduler;
+
+/// An event's place in the scheduler's total order: its time, then the
+/// sequence number that breaks ties FIFO. Scheduler::take_key() hands
+/// one out before the event exists; see Scheduler::schedule_keyed().
+struct EventKey {
+  SimTime when = 0;
+  std::uint64_t seq = 0;
+};
 
 namespace detail {
 
@@ -133,28 +148,56 @@ struct SchedulerCore {
   /// sweep runs only when it reclaims meaningful memory.
   static constexpr std::size_t kCompactMinTombstones = 64;
 
-  std::deque<Slot> slots;  // deque: growth never moves existing slots
+  /// Slots come in chunks of kChunkSlots, found by shift and mask.
+  /// Growth appends a chunk, so a slot never moves; a small chunk keeps
+  /// a fresh scheduler's first allocation (8 KiB) small.
+  static constexpr unsigned kChunkBits = 6;
+  static constexpr std::uint32_t kChunkSlots = 1u << kChunkBits;
+
+  /// Heap order: std::*_heap keep the greatest element on top, so the
+  /// later key plays "less". A function object, not a function pointer,
+  /// so push_heap/pop_heap inline it.
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.when != b.when) return a.when > b.when;
+      return a.seq > b.seq;
+    }
+  };
+
+  std::vector<std::unique_ptr<Slot[]>> chunks;
+  std::uint32_t slot_count = 0;  ///< slots made so far, all in chunks
   std::uint32_t free_head = kNoSlot;
   std::vector<Entry> heap;  // min-heap by (when, seq) via std::*_heap
   std::size_t tombstones = 0;
   SimTime now = 0;
   std::uint64_t next_seq = 0;
+  /// Key of the event that fired last; schedule_keyed() refuses keys
+  /// before it.
+  EventKey fired;
   std::uint64_t executed = 0;
   std::uint64_t compactions = 0;  ///< lazy sweeps run (wasted-work stat)
   std::uint32_t refs = 1;  ///< owning Scheduler + live EventHandles
   bool dead = false;       ///< the owning Scheduler was destroyed
 
-  static bool later(const Entry& a, const Entry& b) {
-    if (a.when != b.when) return a.when > b.when;
-    return a.seq > b.seq;
+  Slot& slot(std::uint32_t idx) {
+    return chunks[idx >> kChunkBits][idx & (kChunkSlots - 1)];
+  }
+  [[nodiscard]] const Slot& slot(std::uint32_t idx) const {
+    return chunks[idx >> kChunkBits][idx & (kChunkSlots - 1)];
   }
 
   std::uint32_t acquire_slot();
   void free_slot(std::uint32_t idx);
 
   [[nodiscard]] bool live(const Entry& e) const {
-    const Slot& s = slots[e.slot];
+    const Slot& s = slot(e.slot);
     return s.armed && s.gen == e.gen;
+  }
+
+  /// True when an event under `key` can no longer fire in key order:
+  /// time has passed key.when, or a later event at that time has fired.
+  [[nodiscard]] bool passed(EventKey key) const {
+    return key.when < now || (key.when == fired.when && key.seq < fired.seq);
   }
 
   bool cancel(std::uint32_t slot, std::uint32_t gen);
@@ -163,7 +206,7 @@ struct SchedulerCore {
   /// under the next seq — the key cancel + schedule_at would give it.
   /// Only the slot changes; see rekey_top().
   bool postpone(std::uint32_t slot_idx, std::uint32_t gen, SimTime when) {
-    Slot& s = slots[slot_idx];
+    Slot& s = slot(slot_idx);
     if (!s.armed || s.gen != gen || when < s.when) return false;
     s.when = when;
     s.seq = next_seq++;
@@ -176,11 +219,11 @@ struct SchedulerCore {
   /// than its true key would, and the true minimum surfaces with a
   /// matching key.
   void rekey_top() {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    const Slot& s = slots[heap.back().slot];
+    std::pop_heap(heap.begin(), heap.end(), Later{});
+    const Slot& s = slot(heap.back().slot);
     heap.back().when = s.when;
     heap.back().seq = s.seq;
-    std::push_heap(heap.begin(), heap.end(), later);
+    std::push_heap(heap.begin(), heap.end(), Later{});
   }
 
   /// Removes every tombstone from the heap and re-heapifies. O(n);
@@ -242,8 +285,8 @@ class EventHandle {
 
   /// True if the event is still queued and will fire.
   [[nodiscard]] bool pending() const {
-    return core_ != nullptr && !core_->dead && core_->slots[slot_].armed &&
-           core_->slots[slot_].gen == gen_;
+    return core_ != nullptr && !core_->dead && core_->slot(slot_).armed &&
+           core_->slot(slot_).gen == gen_;
   }
 
  private:
@@ -277,17 +320,27 @@ class Scheduler {
   /// file comment).
   template <typename F>
   EventHandle schedule_at(SimTime when, F&& fn) {
-    detail::SchedulerCore& c = *core_;
-    if (when < c.now) throw_past(when);
-    const std::uint32_t slot = c.acquire_slot();
-    detail::SchedulerCore::Slot& s = c.slots[slot];
-    s.fn.emplace(std::forward<F>(fn));
-    s.armed = true;
-    s.when = when;
-    s.seq = c.next_seq++;
-    c.heap.push_back({when, s.seq, slot, s.gen});
-    std::push_heap(c.heap.begin(), c.heap.end(), detail::SchedulerCore::later);
-    return EventHandle{core_, slot, s.gen};
+    return insert(take_key(when), std::forward<F>(fn));
+  }
+
+  /// Takes the key schedule_at(when) would give an event now (`when`
+  /// must be >= now()), without scheduling anything. Hand it to
+  /// schedule_keyed() later, once.
+  EventKey take_key(SimTime when) {
+    if (when < core_->now) throw_past(when);
+    return {when, core_->next_seq++};
+  }
+
+  /// Schedules `fn` under `key`, taken earlier by take_key(): it fires
+  /// exactly where schedule_at() at key time would have put it, among
+  /// every event scheduled before or since. That needs the insertion to
+  /// come before any event with a later key fires — from an event with
+  /// an earlier key at the latest. A key already passed throws
+  /// std::logic_error.
+  template <typename F>
+  EventHandle schedule_keyed(EventKey key, F&& fn) {
+    if (core_->passed(key)) throw_passed(key);
+    return insert(key, std::forward<F>(fn));
   }
 
   /// Moves the pending event `h` to `when`, which must be no earlier
@@ -346,7 +399,23 @@ class Scheduler {
   [[nodiscard]] SimTime next_event_time() { return core_->next_event_time(); }
 
  private:
+  template <typename F>
+  EventHandle insert(EventKey key, F&& fn) {
+    detail::SchedulerCore& c = *core_;
+    const std::uint32_t idx = c.acquire_slot();
+    detail::SchedulerCore::Slot& s = c.slot(idx);
+    s.fn.emplace(std::forward<F>(fn));
+    s.armed = true;
+    s.when = key.when;
+    s.seq = key.seq;
+    c.heap.push_back({key.when, key.seq, idx, s.gen});
+    std::push_heap(c.heap.begin(), c.heap.end(),
+                   detail::SchedulerCore::Later{});
+    return EventHandle{core_, idx, s.gen};
+  }
+
   [[noreturn]] void throw_past(SimTime when) const;
+  [[noreturn]] void throw_passed(EventKey key) const;
 
   detail::SchedulerCore* core_;
 };

@@ -157,6 +157,23 @@ TEST(Chaos, OracleChecksTheCountsATransferMakesExact) {
   }
 }
 
+TEST(Chaos, OracleChecksNicHandOffsAgainstHostIntake) {
+  // One packet counted as still held by a NIC, when the host already
+  // took it, fails the run: for the sender pair and for the receivers.
+  const ChaosSpec s = generate_spec(8);
+  const RunResult r = run_transfer(to_scenario(s));
+  ASSERT_TRUE(judge_result(s, r).ok);
+  ASSERT_GT(r.receiver_nics.rx_packets, 0u);
+  const std::string unaccounted =
+      "unaccounted packet: NIC hand-offs and host intake do not close";
+  RunResult bad = r;
+  bad.sender_nic_rx_held += 1;
+  EXPECT_EQ(judge_result(s, bad).failure, unaccounted);
+  bad = r;
+  bad.receiver_nics_rx_held += 1;
+  EXPECT_EQ(judge_result(s, bad).failure, unaccounted);
+}
+
 TEST(Chaos, Seed1844KeepsEveryLiveMember) {
   // Chaos seed 1844: kRmcFallback, a group-C and a group-A subtree of
   // three receivers each, no faults. Probes queued behind the sender's

@@ -60,6 +60,8 @@ void expect_identical(const RunResult& want, const RunResult& have,
   expect_same_counters(want, have);
   EXPECT_EQ(want.sender_nic_tx_queued, have.sender_nic_tx_queued);
   EXPECT_EQ(want.receiver_nics_tx_queued, have.receiver_nics_tx_queued);
+  EXPECT_EQ(want.sender_nic_rx_held, have.sender_nic_rx_held);
+  EXPECT_EQ(want.receiver_nics_rx_held, have.receiver_nics_rx_held);
   EXPECT_EQ(want.sender_host_rx_in_cpu, have.sender_host_rx_in_cpu);
   EXPECT_EQ(want.sender_host_tx_in_cpu, have.sender_host_tx_in_cpu);
   EXPECT_EQ(want.receiver_hosts_rx_in_cpu, have.receiver_hosts_rx_in_cpu);

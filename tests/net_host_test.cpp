@@ -220,6 +220,50 @@ TEST(Host, UpAgainByTheFoldPointDeliversThePacket) {
   EXPECT_EQ(rig.host.counters().rx_down_drops, 0u);
 }
 
+TEST(Host, DownCheckRunsAtTheEndOfEachPacketsHold) {
+  // Two packets share the NIC's hold, 1 ms apart. The host goes down
+  // between their fold points: the first is delivered, the second lost.
+  RxRig rig;
+  rig.nic.deliver(make_packet(1000));
+  rig.sched.schedule_at(sim::milliseconds(1),
+                        [&] { rig.nic.deliver(make_packet(1000)); });
+  rig.sched.schedule_at(RxRig::kFoldPoint + sim::microseconds(500),
+                        [&] { rig.host.set_down(true); });
+  rig.sched.run_until();
+  ASSERT_EQ(rig.transport.times.size(), 1u);
+  EXPECT_EQ(rig.transport.times[0], RxRig::kFoldPoint + Cpu::hrmc_cost(1000));
+  EXPECT_EQ(rig.host.counters().rx_offered, 2u);
+  EXPECT_EQ(rig.host.counters().rx_down_drops, 1u);
+}
+
+TEST(Host, NicHandOffsCloseAgainstHostIntake) {
+  // Every packet the NIC passes on is offered to the host or still in
+  // the NIC's hold. Stopped mid-stream, every term is nonzero, so the
+  // law fails if it loses any one of them.
+  RxRig rig;
+  for (int i = 0; i < 5; ++i) {
+    rig.sched.schedule_at(sim::milliseconds(i),
+                          [&] { rig.nic.deliver(make_packet(100)); });
+  }
+  rig.sched.run_until(sim::milliseconds(4));  // holds end at 2.15, 3.15 ms
+  Nic::Counters c = rig.nic.counters();
+  const std::uint64_t offered = rig.host.counters().rx_offered;
+  const std::uint64_t held = rig.nic.rx_held();
+  EXPECT_EQ(c.rx_packets, 5u);
+  EXPECT_EQ(offered, 2u);
+  EXPECT_EQ(held, 3u);
+  EXPECT_TRUE(c.rx_handed_off(offered, held));
+  EXPECT_FALSE(c.rx_handed_off(offered, 0));
+  EXPECT_FALSE(c.rx_handed_off(0, held));
+  c.rx_packets = 0;
+  EXPECT_FALSE(c.rx_handed_off(offered, held));
+
+  rig.sched.run_until();
+  EXPECT_EQ(rig.nic.rx_held(), 0u);
+  EXPECT_EQ(rig.host.counters().rx_offered, 5u);
+  EXPECT_TRUE(rig.nic.counters().rx_handed_off(5, 0));
+}
+
 TEST(Host, CountsCloseInBothDirections) {
   // Drives every term of both laws above zero: passed on, each named
   // drop, and packets still in CPU work.

@@ -4,6 +4,8 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -341,6 +343,115 @@ TEST(Scheduler, PostponeFiresExactlyAsCancelAndReschedule) {
     EXPECT_EQ(fired_moved, fired_rearmed);
     EXPECT_EQ(moved.executed(), rearmed.executed());
   }
+}
+
+TEST(Scheduler, KeyedInsertionFiresAsScheduleAtKeyTime) {
+  // Two schedulers run one seeded script of schedule, cancel, postpone
+  // and step. `direct` schedules every event when the script makes it;
+  // `keyed` takes only the key for about half of them and inserts the
+  // event later: at a random op, or at the latest just before a step
+  // could pass its key. Coarse times make ties common, and cancels
+  // free slots for reuse.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    Rng rng(seed);
+    Scheduler direct, keyed;
+    std::vector<std::pair<int, SimTime>> fired_direct, fired_keyed;
+    std::vector<EventHandle> h_direct, h_keyed;
+    std::vector<std::optional<EventKey>> deferred;  // key not inserted yet
+    std::vector<SimTime> at;                         // each id's time
+    int inserted_late = 0, postponed = 0;
+    auto log_to = [](Scheduler& s, std::vector<std::pair<int, SimTime>>& log,
+                     int id) {
+      return [&s, &log, id] { log.emplace_back(id, s.now()); };
+    };
+    auto insert = [&](std::size_t id) {
+      h_keyed[id] = keyed.schedule_keyed(
+          *deferred[id], log_to(keyed, fired_keyed, static_cast<int>(id)));
+      deferred[id].reset();
+      ++inserted_late;
+    };
+    auto insert_due = [&](SimTime until) {
+      for (std::size_t id = 0; id < deferred.size(); ++id) {
+        if (deferred[id] && deferred[id]->when <= until) insert(id);
+      }
+    };
+    auto random_id = [&] {
+      return static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(at.size()) - 1));
+    };
+    for (int op = 0; op < 4000; ++op) {
+      const double pick = rng.next_double();
+      if (pick < 0.3 || at.empty()) {
+        const SimTime when = direct.now() + microseconds(rng.uniform_int(0, 8));
+        const int id = static_cast<int>(at.size());
+        h_direct.push_back(
+            direct.schedule_at(when, log_to(direct, fired_direct, id)));
+        if (rng.chance(0.5)) {
+          h_keyed.emplace_back();
+          deferred.push_back(keyed.take_key(when));
+        } else {
+          h_keyed.push_back(
+              keyed.schedule_at(when, log_to(keyed, fired_keyed, id)));
+          deferred.emplace_back();
+        }
+        at.push_back(when);
+      } else if (pick < 0.4) {
+        const std::size_t id = random_id();
+        h_direct[id].cancel();
+        h_keyed[id].cancel();
+        deferred[id].reset();  // a key never inserted never fires
+      } else if (pick < 0.7) {
+        const std::size_t id = random_id();
+        const SimTime when = at[id] + microseconds(rng.uniform_int(-3, 6));
+        const bool want = h_direct[id].pending() && when >= at[id];
+        ASSERT_EQ(direct.postpone(h_direct[id], when), want);
+        if (deferred[id]) {
+          // Not in the queue yet: a postpone is a fresh key, as cancel +
+          // schedule_at would be.
+          if (want) deferred[id] = keyed.take_key(when);
+        } else {
+          ASSERT_EQ(keyed.postpone(h_keyed[id], when), want);
+        }
+        if (want) {
+          at[id] = when;
+          ++postponed;
+        }
+      } else if (pick < 0.8) {
+        const std::size_t id = random_id();
+        if (deferred[id]) insert(id);
+      } else {
+        insert_due(keyed.next_event_time());
+        ASSERT_EQ(direct.next_event_time(), keyed.next_event_time());
+        ASSERT_EQ(direct.step(), keyed.step());
+      }
+    }
+    insert_due(kTimeInfinity);
+    direct.run_until();
+    keyed.run_until();
+    EXPECT_GT(inserted_late, 100);
+    EXPECT_GT(postponed, 100);
+    EXPECT_EQ(fired_direct, fired_keyed);
+    EXPECT_EQ(direct.executed(), keyed.executed());
+  }
+}
+
+TEST(Scheduler, KeysForThePastOrAlreadyPassedThrow) {
+  Scheduler s;
+  const EventKey first = s.take_key(milliseconds(5));
+  const EventKey second = s.take_key(milliseconds(5));
+  const EventKey late = s.take_key(milliseconds(8));
+  std::vector<int> order;
+  s.schedule_keyed(second, [&] { order.push_back(2); });
+  s.run_until(milliseconds(5));
+  // The later of two keys at 5 ms has fired, so the earlier one could
+  // no longer fire in key order.
+  EXPECT_THROW(s.schedule_keyed(first, [] {}), std::logic_error);
+  EXPECT_THROW(s.take_key(milliseconds(4)), std::logic_error);
+  s.run_until(milliseconds(9));  // idle time passes 8 ms
+  EXPECT_THROW(s.schedule_keyed(late, [] {}), std::logic_error);
+  EXPECT_EQ(order, (std::vector<int>{2}));
+  EXPECT_EQ(s.executed(), 1u);
 }
 
 TEST(Scheduler, PostponedPastTheHorizonStaysPending) {
