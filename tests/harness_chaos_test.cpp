@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "net/fault.hpp"
 
 namespace hrmc::harness {
@@ -283,6 +288,51 @@ TEST(Chaos, JoinLossRaceRegression) {
   EXPECT_GE(r.receivers_total.join_fast_retries, 1u);
   const ChaosVerdict v = judge_result(s, r);
   EXPECT_TRUE(v.ok) << v.failure;
+}
+
+TEST(Chaos, ReplayFingerprintsMatchGolden) {
+  // One line per seed of chaos 1-500 and --mem 1-100: the events the run
+  // executed and its rng_digest. Both move when any event moves, so a
+  // change that must leave every schedule alone shows it by leaving this
+  // table alone. On a mismatch the table this build produced is written
+  // to replay_fingerprints.actual.txt in the working directory.
+  std::string got = "# kind seed events_executed rng_digest\n";
+  const auto add = [&got](const char* kind, std::uint64_t seed,
+                          const ChaosSpec& spec) {
+    const RunResult r = run_transfer(to_scenario(spec));
+    char line[96];
+    std::snprintf(line, sizeof line, "%s %llu %llu %016llx\n", kind,
+                  static_cast<unsigned long long>(seed),
+                  static_cast<unsigned long long>(r.events_executed),
+                  static_cast<unsigned long long>(r.rng_digest));
+    got += line;
+  };
+  for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+    add("chaos", seed, generate_spec(seed));
+  }
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    add("mem", seed, generate_mem_spec(seed));
+  }
+
+  std::stringstream want;
+  want << std::ifstream(HRMC_TESTS_DIR "/golden/replay_fingerprints.txt")
+              .rdbuf();
+  if (got == want.str()) return;
+  std::ofstream("replay_fingerprints.actual.txt") << got;
+  std::istringstream g(got);
+  std::string gl, wl;
+  for (int shown = 0; shown < 10;) {
+    const bool more_g = static_cast<bool>(std::getline(g, gl));
+    const bool more_w = static_cast<bool>(std::getline(want, wl));
+    if (!more_g && !more_w) break;
+    if (gl != wl || more_g != more_w) {
+      ADD_FAILURE() << "want: " << (more_w ? wl : "<none>")
+                    << "\n got: " << (more_g ? gl : "<none>");
+      ++shown;
+    }
+  }
+  FAIL() << "replay fingerprints differ from tests/golden/"
+            "replay_fingerprints.txt";
 }
 
 }  // namespace
