@@ -482,6 +482,7 @@ RunResult run_transfer(const Scenario& sc) {
   for (const sim::Scheduler* s : domains) {
     res.events_executed += s->executed();
     res.sched_compactions += s->compactions();
+    res.sched_chained += s->chained();
   }
   // rng_digest: end-state of every RNG stream in the run, folded in a
   // fixed component order (network elements in topology order, then

@@ -220,6 +220,9 @@ struct RunResult {
   // the trace rings — between serial and sharded executions.
   std::uint64_t events_executed = 0;
   std::uint64_t sched_compactions = 0;  ///< tombstone sweeps (all domains)
+  /// Inserts linked behind a pending event at one instant instead of
+  /// taking a heap entry (Scheduler::chained(), all domains).
+  std::uint64_t sched_chained = 0;
   std::uint64_t rng_digest = 0;
 
   // Sharded-engine accounting (zero on the serial engine).

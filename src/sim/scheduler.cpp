@@ -14,8 +14,8 @@ std::uint32_t SchedulerCore::acquire_slot() {
   if (free_head != kNoSlot) {
     const std::uint32_t idx = free_head;
     Slot& s = slot(idx);
-    free_head = s.next_free;
-    s.next_free = kNoSlot;
+    free_head = s.next;
+    s.next = kNoSlot;
     return idx;
   }
   if ((slot_count & (kChunkSlots - 1)) == 0) {
@@ -27,25 +27,28 @@ std::uint32_t SchedulerCore::acquire_slot() {
 }
 
 void SchedulerCore::free_slot(std::uint32_t idx) {
-  slot(idx).next_free = free_head;
+  slot(idx).next = free_head;
   free_head = idx;
 }
 
 bool SchedulerCore::cancel(std::uint32_t slot_idx, std::uint32_t gen) {
   Slot& s = slot(slot_idx);
   if (!s.armed || s.gen != gen) return false;
+  const bool had_entry = unchain(slot_idx);  // a chained one has none
   s.armed = false;
   ++s.gen;       // invalidates the queue entry and any copied handles
   s.fn.reset();  // release captured resources (packets, refs) now
   free_slot(slot_idx);
+  if (!had_entry) return true;
   ++tombstones;
-  // Lazy sweep: once cancelled entries outnumber live ones the heap is
-  // mostly dead weight — rebuild it without them. Amortized O(1) per
-  // cancel; pop order is unchanged because (when, seq) totally orders
-  // live entries regardless of heap layout. The count floor keeps tiny
-  // queues from paying a rebuild per cancel: below it, pops retire the
-  // tombstones for free.
-  if (tombstones >= kCompactMinTombstones && tombstones * 2 > heap.size()) {
+  // Lazy sweep: once cancelled entries outnumber live events, chained
+  // ones included, the heap is mostly dead weight — rebuild it without
+  // them. Amortized O(1) per cancel; pop order is unchanged because
+  // (when, seq) totally orders live entries regardless of heap layout.
+  // The count floor keeps tiny queues from paying a rebuild per cancel:
+  // below it, pops retire the tombstones for free.
+  if (tombstones >= kCompactMinTombstones &&
+      tombstones * 2 > heap.size() + linked) {
     compact();
   }
   return true;
@@ -111,9 +114,18 @@ bool Scheduler::step(SimTime horizon) {
       c.rekey_top();
       continue;
     }
-    std::pop_heap(c.heap.begin(), c.heap.end(),
-                  detail::SchedulerCore::Later{});
-    c.heap.pop_back();
+    if (s.next != detail::kNoSlot) {
+      // The chain's next member inherits the entry: its key is the next
+      // in heap order, so the heap needs no sift.
+      detail::SchedulerCore::Slot& n = c.slot(s.next);
+      n.prev = detail::kNoSlot;
+      c.heap.front() = {n.when, n.seq, s.next, n.gen};
+      --c.linked;
+    } else {
+      std::pop_heap(c.heap.begin(), c.heap.end(),
+                    detail::SchedulerCore::Later{});
+      c.heap.pop_back();
+    }
     assert(top.when >= c.now);
     c.now = top.when;
     c.fired = {top.when, top.seq};

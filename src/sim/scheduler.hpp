@@ -35,6 +35,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -129,8 +130,14 @@ struct SchedulerCore {
     SimTime when = 0;
     std::uint64_t seq = 0;
     std::uint32_t gen = 0;  ///< bumped on fire/cancel; stale entries skip
-    std::uint32_t next_free = kNoSlot;
-    bool armed = false;  ///< an un-fired, un-cancelled queue entry exists
+    /// A free slot: the next free slot. An armed one: the member linked
+    /// behind it in its chain. A free slot is never chained, so one field
+    /// serves both.
+    std::uint32_t next = kNoSlot;
+    /// The member this one is linked behind; kNoSlot when the event holds
+    /// a heap entry of its own (or is not armed).
+    std::uint32_t prev = kNoSlot;
+    bool armed = false;  ///< an un-fired, un-cancelled event is queued
   };
 
   /// Heap entry: plain data, 24 bytes; the callable stays in its slot.
@@ -141,7 +148,14 @@ struct SchedulerCore {
     std::uint32_t gen = 0;
   };
 
-  /// Compaction trigger: tombstones must both outnumber live entries
+  /// A recent insert whose key a later insert may follow: its key, kept
+  /// here so that an insert that does not follow it reads no slot.
+  struct Tail {
+    EventKey key{-1, 0};  ///< no event time is negative: matches nothing
+    std::uint32_t slot = kNoSlot;
+  };
+
+  /// Compaction trigger: tombstones must both outnumber live events
   /// and reach this floor. Without the floor a tiny queue (2 events,
   /// 1 cancel) would pay a full O(n) rebuild on nearly every cancel;
   /// with it, small queues let pops retire tombstones for free and the
@@ -169,6 +183,9 @@ struct SchedulerCore {
   std::uint32_t free_head = kNoSlot;
   std::vector<Entry> heap;  // min-heap by (when, seq) via std::*_heap
   std::size_t tombstones = 0;
+  std::size_t linked = 0;  ///< armed events linked behind another, no entry
+  Tail tails[2];
+  unsigned tail_mru = 0;  ///< the tail extended or set last
   SimTime now = 0;
   std::uint64_t next_seq = 0;
   /// Key of the event that fired last; schedule_keyed() refuses keys
@@ -176,6 +193,7 @@ struct SchedulerCore {
   EventKey fired;
   std::uint64_t executed = 0;
   std::uint64_t compactions = 0;  ///< lazy sweeps run (wasted-work stat)
+  std::uint64_t chained = 0;  ///< inserts linked behind a pending event
   std::uint32_t refs = 1;  ///< owning Scheduler + live EventHandles
   bool dead = false;       ///< the owning Scheduler was destroyed
 
@@ -204,12 +222,69 @@ struct SchedulerCore {
 
   /// Moves a pending event to `when`, no earlier than its current time,
   /// under the next seq — the key cancel + schedule_at would give it.
-  /// Only the slot changes; see rekey_top().
+  /// An event with a heap entry keeps it (see rekey_top()); a chained
+  /// one leaves its chain and takes an entry under the new key.
   bool postpone(std::uint32_t slot_idx, std::uint32_t gen, SimTime when) {
     Slot& s = slot(slot_idx);
     if (!s.armed || s.gen != gen || when < s.when) return false;
+    const bool had_entry = unchain(slot_idx);
     s.when = when;
     s.seq = next_seq++;
+    if (!had_entry) push(slot_idx);
+    return true;
+  }
+
+  void push(std::uint32_t idx) {
+    const Slot& s = slot(idx);
+    heap.push_back({s.when, s.seq, idx, s.gen});
+    std::push_heap(heap.begin(), heap.end(), Later{});
+  }
+
+  /// Queues the armed event `idx` under its slot's key. An event keyed
+  /// right behind a recent insert still pending at the same time links
+  /// behind it instead of taking a heap entry: no other event can hold a
+  /// key between the two, so running it next is exactly heap order.
+  void place(std::uint32_t idx) {
+    Slot& s = slot(idx);
+    for (unsigned i = 0; i < 2; ++i) {
+      Tail& t = tails[i];
+      if (s.when != t.key.when || s.seq != t.key.seq + 1) continue;
+      Slot& p = slot(t.slot);
+      if (!p.armed || p.seq != t.key.seq) break;  // fired, cancelled, moved
+      assert(p.next == kNoSlot);
+      p.next = idx;
+      s.prev = t.slot;
+      ++linked;
+      ++chained;
+      t = {{s.when, s.seq}, idx};
+      tail_mru = i;
+      return;
+    }
+    push(idx);
+    tail_mru ^= 1;
+    tails[tail_mru] = {{s.when, s.seq}, idx};
+  }
+
+  /// Takes the armed event `idx` out of its chain, keeping the order of
+  /// the member behind it: linked behind `idx`'s own predecessor, or,
+  /// when `idx` held the chain's heap entry, under an entry of its own.
+  /// Returns whether `idx` held a heap entry.
+  bool unchain(std::uint32_t idx) {
+    Slot& s = slot(idx);
+    const std::uint32_t next = s.next;
+    s.next = kNoSlot;
+    if (s.prev != kNoSlot) {
+      slot(s.prev).next = next;
+      if (next != kNoSlot) slot(next).prev = s.prev;
+      s.prev = kNoSlot;
+      --linked;
+      return false;
+    }
+    if (next != kNoSlot) {
+      slot(next).prev = kNoSlot;
+      --linked;
+      push(next);
+    }
     return true;
   }
 
@@ -376,9 +451,10 @@ class Scheduler {
   /// the next event lies beyond `horizon` (time does not advance then).
   bool step(SimTime horizon = kTimeInfinity);
 
-  /// Number of *live* (non-cancelled) events currently queued.
+  /// Number of *live* (non-cancelled) events currently queued, chained
+  /// ones included.
   [[nodiscard]] std::size_t queued() const {
-    return core_->heap.size() - core_->tombstones;
+    return core_->heap.size() - core_->tombstones + core_->linked;
   }
 
   /// Cancelled entries still occupying the queue, awaiting pop or
@@ -390,6 +466,10 @@ class Scheduler {
   [[nodiscard]] std::uint64_t compactions() const {
     return core_->compactions;
   }
+
+  /// Events that took no heap entry when inserted: each was linked
+  /// behind the pending event keyed just before it at the same time.
+  [[nodiscard]] std::uint64_t chained() const { return core_->chained; }
 
   /// Total events executed since construction.
   [[nodiscard]] std::uint64_t executed() const { return core_->executed; }
@@ -408,9 +488,7 @@ class Scheduler {
     s.armed = true;
     s.when = key.when;
     s.seq = key.seq;
-    c.heap.push_back({key.when, key.seq, idx, s.gen});
-    std::push_heap(c.heap.begin(), c.heap.end(),
-                   detail::SchedulerCore::Later{});
+    c.place(idx);
     return EventHandle{core_, idx, s.gen};
   }
 

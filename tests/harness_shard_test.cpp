@@ -32,11 +32,13 @@ void expect_identical(const RunResult& want, const RunResult& have,
                       unsigned threads) {
   SCOPED_TRACE(testing::Message() << "threads=" << threads);
 
-  // Replay identity: these four pin the whole schedule.
+  // Replay identity: these four pin the whole schedule, and each
+  // domain's inserts chain alike at every thread count.
   EXPECT_EQ(want.events_executed, have.events_executed);
   EXPECT_EQ(want.rng_digest, have.rng_digest);
   EXPECT_EQ(want.sched_compactions, have.sched_compactions);
   EXPECT_EQ(want.shard_epochs, have.shard_epochs);
+  EXPECT_EQ(want.sched_chained, have.sched_chained);
 
   // Engine accounting.
   EXPECT_EQ(want.shard_domains, have.shard_domains);

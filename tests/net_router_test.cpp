@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
+
+#include "net/nic.hpp"
 
 namespace hrmc::net {
 namespace {
@@ -108,6 +111,35 @@ TEST(Router, MulticastDuplicatesToAllGroupMembers) {
   a.packets[0]->mutable_bytes()[0] = 7;
   EXPECT_EQ(b.packets[0]->data()[0], 42);
   EXPECT_EQ(c.packets[0]->data()[0], 42);
+}
+
+TEST(Router, FanOutToIdleCardsChainsAtEachInstant) {
+  // One packet fanned out to ten idle cards of one speed and one delay:
+  // the ten egress completions share an instant and consecutive keys,
+  // so the first takes a heap entry and nine chain behind it. Each then
+  // hands its copy to its card, whose ten holds chain the same way.
+  sim::Scheduler sched;
+  Router r(sched, "r", RouterConfig{}, 1);
+  const Addr group = make_addr(224, 1, 1, 1);
+  std::vector<std::unique_ptr<Nic>> nics;
+  std::vector<std::unique_ptr<CaptureSink>> hosts;
+  for (int i = 0; i < 10; ++i) {
+    nics.push_back(std::make_unique<Nic>(
+        sched, "n", NicConfig{.rx_delay = sim::milliseconds(2)}, 1));
+    hosts.push_back(std::make_unique<CaptureSink>(sched));
+    nics.back()->attach_host(hosts.back().get());
+    r.join_group(group, nics.back().get());
+  }
+  r.deliver(make_packet(group));
+  EXPECT_EQ(sched.queued(), 10u);
+  EXPECT_EQ(sched.chained(), 9u);
+  sched.run_until();
+  EXPECT_EQ(sched.chained(), 18u);
+  EXPECT_EQ(sched.executed(), 20u);
+  for (const auto& h : hosts) {
+    ASSERT_EQ(h->times.size(), 1u);
+    EXPECT_EQ(h->times[0], hosts[0]->times[0]);
+  }
 }
 
 TEST(Router, MulticastWithoutMembersDrops) {

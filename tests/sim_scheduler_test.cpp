@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -500,6 +501,274 @@ TEST(Scheduler, CancelAfterPostponeCancels) {
   s.run_until();
   EXPECT_FALSE(ran);
   EXPECT_EQ(s.executed(), 0u);
+}
+
+TEST(Scheduler, SameInstantBurstTakesOneHeapEntry) {
+  // Five events keyed one after another at one time: the first takes a
+  // heap entry and the others link behind it. They still count as
+  // queued, and step() runs one per call, so run_while's predicate sees
+  // every event boundary.
+  Scheduler s;
+  std::vector<int> order;
+  for (int i = 0; i < 5; ++i) {
+    s.schedule_at(milliseconds(3), [&order, i] { order.push_back(i); });
+  }
+  s.schedule_at(milliseconds(4), [&order] { order.push_back(5); });
+  EXPECT_EQ(s.chained(), 4u);
+  EXPECT_EQ(s.queued(), 6u);
+  EXPECT_EQ(s.next_event_time(), milliseconds(3));
+  std::size_t checks = 0;
+  s.run_while([&] {
+    EXPECT_EQ(order.size(), checks);
+    EXPECT_EQ(s.queued(), 6 - checks);
+    ++checks;
+    return true;
+  });
+  EXPECT_EQ(checks, 7u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(s.executed(), 6u);
+}
+
+TEST(Scheduler, OnlyTheNextKeyAtTheSameTimeChains) {
+  Scheduler s;
+  s.schedule_at(milliseconds(1), [] {});
+  s.schedule_at(milliseconds(2), [] {});  // next key, later time
+  s.take_key(milliseconds(2));            // spends the key in between
+  s.schedule_at(milliseconds(2), [] {});
+  EXPECT_EQ(s.chained(), 0u);
+  s.run_until();
+  // A key that follows an event that has fired starts a new entry.
+  s.schedule_at(milliseconds(5), [&s] { s.schedule_at(s.now(), [] {}); });
+  s.run_until();
+  EXPECT_EQ(s.chained(), 0u);
+  EXPECT_EQ(s.executed(), 5u);
+}
+
+TEST(Scheduler, CancellingAChainedEventLeavesNoTombstone) {
+  Scheduler s;
+  std::vector<int> order;
+  std::vector<EventHandle> h;
+  for (int i = 0; i < 4; ++i) {
+    h.push_back(
+        s.schedule_at(milliseconds(2), [&order, i] { order.push_back(i); }));
+  }
+  ASSERT_EQ(s.chained(), 3u);
+  h[2].cancel();
+  h[3].cancel();  // the chain's last member
+  EXPECT_FALSE(h[2].pending());
+  EXPECT_EQ(s.tombstones(), 0u);
+  EXPECT_EQ(s.queued(), 2u);
+  // The freed slots are reused; the new event follows the cancelled
+  // last member's key, not a pending event's, so it takes its own entry.
+  s.schedule_at(milliseconds(2), [&order] { order.push_back(4); });
+  EXPECT_EQ(s.chained(), 3u);
+  s.run_until();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 4}));
+  EXPECT_EQ(s.tombstones(), 0u);
+}
+
+TEST(Scheduler, CancellingAChainHeadGivesItsSuccessorAnEntry) {
+  Scheduler s;
+  std::vector<int> order;
+  std::vector<EventHandle> h;
+  for (int i = 0; i < 3; ++i) {
+    h.push_back(
+        s.schedule_at(milliseconds(2), [&order, i] { order.push_back(i); }));
+  }
+  s.schedule_at(milliseconds(1), [&order] { order.push_back(9); });
+  h[0].cancel();
+  EXPECT_EQ(s.tombstones(), 1u);  // the head's own entry
+  EXPECT_EQ(s.queued(), 3u);
+  EXPECT_EQ(s.next_event_time(), milliseconds(1));
+  s.run_until();
+  EXPECT_EQ(order, (std::vector<int>{9, 1, 2}));
+}
+
+TEST(Scheduler, PostponingAChainHeadOrMemberKeepsKeyOrder) {
+  // A chain of four at 2 ms. Postponing the head to the same time moves
+  // it behind every event keyed so far; postponing a member to 3 ms
+  // puts it behind an event already at 3 ms. Both end up where cancel +
+  // schedule_at would have put them.
+  Scheduler s;
+  std::vector<int> order;
+  std::vector<EventHandle> h;
+  for (int i = 0; i < 4; ++i) {
+    h.push_back(
+        s.schedule_at(milliseconds(2), [&order, i] { order.push_back(i); }));
+  }
+  s.schedule_at(milliseconds(3), [&order] { order.push_back(7); });
+  ASSERT_TRUE(s.postpone(h[0], milliseconds(2)));
+  ASSERT_TRUE(s.postpone(h[2], milliseconds(3)));
+  EXPECT_TRUE(h[0].pending());
+  EXPECT_TRUE(h[2].pending());
+  EXPECT_EQ(s.queued(), 5u);
+  EXPECT_EQ(s.tombstones(), 0u);
+  EXPECT_EQ(s.next_event_time(), milliseconds(2));
+  s.run_until();
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 0, 7, 2}));
+}
+
+TEST(Scheduler, RunStoppedInsideAChainResumesInOrder) {
+  Scheduler s;
+  std::vector<int> order;
+  for (int i = 0; i < 6; ++i) {
+    s.schedule_at(milliseconds(1), [&order, i] { order.push_back(i); });
+  }
+  s.run_while([&] { return order.size() < 3; });
+  EXPECT_EQ(order.size(), 3u);
+  EXPECT_EQ(s.queued(), 3u);
+  EXPECT_EQ(s.next_event_time(), milliseconds(1));
+  // Extends the pending chain: it runs after the three left.
+  s.schedule_at(milliseconds(1), [&order] { order.push_back(6); });
+  EXPECT_EQ(s.chained(), 6u);
+  s.run_until(milliseconds(1));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+}
+
+TEST(Scheduler, KeyedInsertExtendsAChain) {
+  // Keys taken in a row and inserted in order chain, whether the event
+  // before holds an entry or is itself chained, and so does a fresh key
+  // after them. Two chains grow side by side, as a NIC hand-off (its
+  // next head, under an old key) and a CPU completion (a fresh key) do
+  // from one event.
+  Scheduler s;
+  std::vector<int> order;
+  const EventKey a0 = s.take_key(milliseconds(5));
+  const EventKey a1 = s.take_key(milliseconds(5));
+  const EventKey a2 = s.take_key(milliseconds(5));
+  s.schedule_keyed(a0, [&order] { order.push_back(0); });
+  s.schedule_at(milliseconds(9), [&order] { order.push_back(3); });
+  s.schedule_keyed(a1, [&order] { order.push_back(1); });
+  s.schedule_at(milliseconds(9), [&order] { order.push_back(4); });
+  s.schedule_keyed(a2, [&order] { order.push_back(2); });
+  s.schedule_at(milliseconds(9), [&order] { order.push_back(5); });
+  EXPECT_EQ(s.chained(), 4u);
+  EXPECT_EQ(s.queued(), 6u);
+  s.run_until();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(Scheduler, ChainedEventsCountAsLiveForCompaction) {
+  // 100 events chained at one instant hold one heap entry. Cancelling
+  // 65 of 70 other events leaves 65 tombstones against 105 live events:
+  // no sweep, though the tombstones outnumber the live heap entries.
+  Scheduler s;
+  for (int i = 0; i < 100; ++i) s.schedule_at(milliseconds(500), [] {});
+  std::vector<EventHandle> solo;
+  for (int i = 0; i < 70; ++i) {
+    solo.push_back(s.schedule_at(milliseconds(i + 1), [] {}));
+  }
+  ASSERT_EQ(s.chained(), 99u);
+  for (int i = 0; i < 65; ++i) solo[i].cancel();
+  EXPECT_EQ(s.compactions(), 0u);
+  EXPECT_EQ(s.tombstones(), 65u);
+  EXPECT_EQ(s.queued(), 105u);
+  s.run_until();
+  EXPECT_EQ(s.executed(), 105u);
+}
+
+TEST(Scheduler, ChainsFireInTheOrderOfAnOrderedMapOnKeys) {
+  // A seeded script of schedule_at, take_key + schedule_keyed, cancel,
+  // postpone and step on coarse times, so chains form, break and grow,
+  // checked after every step against a reference: an ordered map on
+  // (when, seq) that takes every key the scheduler hands out.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    Rng rng(seed);
+    Scheduler s;
+    std::map<std::pair<SimTime, std::uint64_t>, int> ref;
+    std::uint64_t next_seq = 0;  // mirrors the scheduler's key counter
+    std::vector<EventHandle> h;
+    std::vector<std::optional<std::pair<SimTime, std::uint64_t>>> key;
+    std::vector<std::optional<EventKey>> deferred;  // taken, not inserted
+    std::vector<int> fired;
+    auto log = [&fired](int id) {
+      return [&fired, id] { fired.push_back(id); };
+    };
+    auto random_id = [&] {
+      return static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(h.size()) - 1));
+    };
+    for (int op = 0; op < 6000; ++op) {
+      const double pick = rng.next_double();
+      if (pick < 0.35 || h.empty()) {
+        const int id = static_cast<int>(h.size());
+        const SimTime when = s.now() + microseconds(rng.uniform_int(0, 3));
+        const int burst = static_cast<int>(rng.uniform_int(1, 4));
+        for (int b = 0; b < burst; ++b) {
+          const int bid = id + b;
+          if (rng.chance(0.3)) {
+            deferred.push_back(s.take_key(when));
+            h.emplace_back();
+            key.emplace_back();
+          } else {
+            h.push_back(s.schedule_at(when, log(bid)));
+            key.emplace_back(std::make_pair(when, next_seq));
+            ref[*key.back()] = bid;
+            deferred.emplace_back();
+          }
+          ++next_seq;
+        }
+      } else if (pick < 0.5) {
+        // Insert deferred keys in key order, as a FIFO delay line would.
+        for (std::size_t id = 0; id < deferred.size(); ++id) {
+          if (!deferred[id] || rng.chance(0.3)) continue;
+          const EventKey k = *deferred[id];
+          deferred[id].reset();
+          h[id] = s.schedule_keyed(k, log(static_cast<int>(id)));
+          key[id] = std::make_pair(k.when, k.seq);
+          ref[*key[id]] = static_cast<int>(id);
+        }
+      } else if (pick < 0.6) {
+        const std::size_t id = random_id();
+        h[id].cancel();
+        deferred[id].reset();
+        if (key[id]) ref.erase(*key[id]);
+        key[id].reset();
+      } else if (pick < 0.75) {
+        const std::size_t id = random_id();
+        if (!key[id]) continue;
+        const SimTime when =
+            key[id]->first + microseconds(rng.uniform_int(-1, 2));
+        const bool want = h[id].pending() && when >= key[id]->first;
+        ASSERT_EQ(s.postpone(h[id], when), want);
+        if (want) {
+          ref.erase(*key[id]);
+          key[id] = std::make_pair(when, next_seq++);
+          ref[*key[id]] = static_cast<int>(id);
+        }
+      } else {
+        // A deferred key that is due must be in before the step.
+        const SimTime next =
+            ref.empty() ? kTimeInfinity : ref.begin()->first.first;
+        bool due = false;
+        for (const auto& d : deferred) due = due || (d && d->when <= next);
+        if (due) continue;
+        ASSERT_EQ(s.queued(), ref.size());
+        ASSERT_EQ(s.next_event_time(), next);
+        const bool stepped = s.step();
+        ASSERT_EQ(stepped, !ref.empty());
+        if (!stepped) continue;
+        ASSERT_EQ(fired.back(), ref.begin()->second);
+        key[static_cast<std::size_t>(fired.back())].reset();
+        ref.erase(ref.begin());
+      }
+    }
+    for (std::size_t id = 0; id < deferred.size(); ++id) {
+      if (!deferred[id]) continue;
+      h[id] = s.schedule_keyed(*deferred[id], log(static_cast<int>(id)));
+      ref[{deferred[id]->when, deferred[id]->seq}] = static_cast<int>(id);
+    }
+    while (!ref.empty()) {
+      ASSERT_EQ(s.queued(), ref.size());
+      ASSERT_TRUE(s.step());
+      ASSERT_EQ(fired.back(), ref.begin()->second);
+      ref.erase(ref.begin());
+    }
+    EXPECT_FALSE(s.step());
+    EXPECT_GT(s.chained(), 1000u);
+    EXPECT_GT(fired.size(), 1000u);
+  }
 }
 
 TEST(Scheduler, HandleOutlivingSchedulerIsInert) {
