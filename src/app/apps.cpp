@@ -73,6 +73,7 @@ SinkApp::SinkApp(proto::HrmcReceiver& sock, sim::Scheduler& sched,
   buf_.resize(opt_.chunk);
   sock_.on_readable = [this] { maybe_read(); };
   sock_.on_complete = [this] {
+    if (complete_at_ < 0 && on_stream_complete) on_stream_complete();
     complete_at_ = sched_.now();
     maybe_read();
   };

@@ -81,6 +81,11 @@ class SinkApp {
   [[nodiscard]] bool stream_complete() const { return complete_at_ >= 0; }
   [[nodiscard]] sim::SimTime complete_at() const { return complete_at_; }
 
+  /// Called once, when stream_complete() turns true. A receiver that
+  /// restarts may report completion again; that moves complete_at() but
+  /// does not call this a second time.
+  std::function<void()> on_stream_complete;
+
   /// True once the application consumed the whole stream (EOF).
   [[nodiscard]] bool finished() const { return finished_; }
   [[nodiscard]] sim::SimTime finished_at() const { return finished_at_; }

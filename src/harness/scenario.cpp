@@ -258,6 +258,17 @@ RunResult run_transfer(const Scenario& sc) {
   std::vector<std::unique_ptr<proto::ModeledReceiver>> modeled_socks;
   std::vector<std::unique_ptr<app::SinkApp>> sinks;
   std::vector<sim::SimTime> modeled_complete_at(topo.receiver_count(), -1);
+  // Slots expected to complete that have, counted once per slot from its
+  // completion callback into its own domain's counter: a domain's events
+  // write only their own, and `done` sums them where every domain is
+  // quiescent.
+  std::vector<std::size_t> completed_in(domains.size(), 0);
+  const auto count_completion = [&completed_in, &expect_complete](
+                                    std::size_t i, std::size_t d) {
+    return [&completed_in, &expect_complete, i, d] {
+      if (expect_complete[i]) ++completed_in[d];
+    };
+  };
   for (std::size_t i = 0; i < topo.receiver_count(); ++i) {
     const std::size_t d = topo.receiver_domain(i);
     sim::Scheduler& dsched = *domains[d];
@@ -266,8 +277,11 @@ RunResult run_transfer(const Scenario& sc) {
           topo.receiver(i), sc.proto, group, mg->population, mg->leaf_loss,
           topo.sender().addr());
       pop->set_trace(sink(d, trace::receiver_host(i)));
-      pop->on_complete = [&dsched, &modeled_complete_at, i] {
+      // A population reports completion once.
+      pop->on_complete = [&dsched, &modeled_complete_at, i,
+                          counted = count_completion(i, d)] {
         modeled_complete_at[i] = dsched.now();
+        counted();
       };
       pop->open();
       rcv_socks.push_back(nullptr);
@@ -293,6 +307,7 @@ RunResult run_transfer(const Scenario& sc) {
     if (sc.workload.disk_sink) opt.disk = app::DiskConfig{};
     opt.seed = sim::substream_seed(sc.seed, "sink:" + std::to_string(i));
     sinks.push_back(std::make_unique<app::SinkApp>(*sock, dsched, opt));
+    sinks.back()->on_stream_complete = count_completion(i, d);
     proto::HrmcReceiver* raw = sock.get();
     if (join_at[i] >= 0) {
       dsched.schedule_at(join_at[i], [raw] { raw->open_resync(); });
@@ -403,12 +418,13 @@ RunResult run_transfer(const Scenario& sc) {
   // engine only at epoch barriers, where every domain is quiescent — the
   // one place a cross-domain read is safe (and deterministic: the
   // barrier schedule is thread-count independent).
+  const std::size_t expected_complete = static_cast<std::size_t>(
+      std::count(expect_complete.begin(), expect_complete.end(), true));
   const auto done = [&] {
     if (sample_period > 0) take_samples();
-    for (std::size_t i = 0; i < sinks.size(); ++i) {
-      if (expect_complete[i] && !slot_complete(i)) return false;
-    }
-    return snd.finished();
+    std::size_t completed = 0;
+    for (const std::size_t n : completed_in) completed += n;
+    return completed == expected_complete && snd.finished();
   };
 
   unsigned threads = 1;

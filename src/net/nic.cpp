@@ -1,7 +1,5 @@
 #include "net/nic.hpp"
 
-#include <algorithm>
-
 #include "kern/mem.hpp"
 
 namespace hrmc::net {
@@ -52,8 +50,7 @@ void Nic::drain_tx() {
     return;
   }
   tx_busy_ = true;
-  kern::SkBuffPtr skb = std::move(tx_queue_.front());
-  tx_queue_.pop_front();
+  kern::SkBuffPtr skb = tx_queue_.pop_front();
   const sim::SimTime serialize =
       sim::transmission_time(static_cast<std::int64_t>(skb->wire_size()),
                              cfg_.link_bps);
@@ -109,29 +106,14 @@ void Nic::deliver(kern::SkBuffPtr skb) {
   // taken now, so the hand-off fires where an event scheduled now would;
   // only the FIFO's head is in the scheduler.
   const sim::EventKey key = sched_->take_key(sched_->now() + rx_hold_);
-  if (held_ == 0) sched_->schedule_keyed(key, [this] { hand_off_head(); });
-  push_held({key, std::move(skb)});
-}
-
-void Nic::push_held(Held h) {
-  if (held_ == hold_.size()) {
-    std::vector<Held> grown(std::max<std::size_t>(8, 2 * hold_.size()));
-    for (std::size_t i = 0; i < held_; ++i) {
-      grown[i] = std::move(hold_[(hold_head_ + i) & (hold_.size() - 1)]);
-    }
-    hold_.swap(grown);
-    hold_head_ = 0;
-  }
-  hold_[(hold_head_ + held_) & (hold_.size() - 1)] = std::move(h);
-  ++held_;
+  if (hold_.empty()) sched_->schedule_keyed(key, [this] { hand_off_head(); });
+  hold_.push_back({key, std::move(skb)});
 }
 
 void Nic::hand_off_head() {
-  kern::SkBuffPtr skb = std::move(hold_[hold_head_].skb);
-  hold_head_ = (hold_head_ + 1) & (hold_.size() - 1);
-  if (--held_ > 0) {
-    sched_->schedule_keyed(hold_[hold_head_].key,
-                           [this] { hand_off_head(); });
+  kern::SkBuffPtr skb = hold_.pop_front().skb;
+  if (!hold_.empty()) {
+    sched_->schedule_keyed(hold_.front().key, [this] { hand_off_head(); });
   }
   if (host_ != nullptr) host_->deliver(std::move(skb));
 }

@@ -20,13 +20,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "kern/jiffies.hpp"
 #include "net/loss.hpp"
+#include "net/ring.hpp"
 #include "net/sink.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
@@ -86,7 +85,7 @@ class Nic final : public PacketSink {
 
   /// Packets accepted on receive and not yet handed to the host: counted
   /// in rx_packets, not yet in the host's rx_offered.
-  [[nodiscard]] std::size_t rx_held() const { return held_; }
+  [[nodiscard]] std::size_t rx_held() const { return hold_.size(); }
 
   /// Link state (fault injection): a down link drops every packet in
   /// both directions at the card boundary, counted as
@@ -189,7 +188,6 @@ class Nic final : public PacketSink {
   };
 
   void drain_tx();
-  void push_held(Held h);
   void hand_off_head();
 
   sim::Scheduler* sched_;
@@ -200,14 +198,10 @@ class Nic final : public PacketSink {
   PacketSink* host_ = nullptr;
   sim::SimTime rx_hold_ = cfg_.rx_delay;  ///< rx_delay + host rx_latency()
 
-  // Receive hold: a ring of accepted packets in arrival order, hence in
-  // key order. It allocates nothing before the first packet and doubles
-  // when full.
-  std::vector<Held> hold_;
-  std::size_t hold_head_ = 0;  ///< index of the oldest packet
-  std::size_t held_ = 0;
+  // Receive hold: accepted packets in arrival order, hence in key order.
+  Ring<Held> hold_;
 
-  std::deque<kern::SkBuffPtr> tx_queue_;
+  Ring<kern::SkBuffPtr> tx_queue_;
   bool tx_busy_ = false;
   bool link_up_ = true;
   std::optional<WirelessLoss> wireless_loss_;

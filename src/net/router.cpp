@@ -8,12 +8,22 @@ Router::Router(sim::Scheduler& sched, std::string name, RouterConfig cfg,
                std::uint64_t loss_seed)
     : sched_(&sched), name_(std::move(name)), cfg_(cfg), loss_rng_(loss_seed) {}
 
-void Router::add_route(Addr dst, PacketSink* next) { routes_[dst] = next; }
+Router::Port* Router::port(PacketSink* egress) {
+  if (egress == nullptr) return nullptr;
+  Port& p = ports_[egress];
+  p.egress = egress;
+  return &p;
+}
+
+void Router::add_route(Addr dst, PacketSink* next) {
+  routes_[dst] = port(next);
+}
 
 void Router::join_group(Addr group, PacketSink* next) {
+  Port* p = port(next);
   auto& fanout = groups_[group];
-  if (std::find(fanout.begin(), fanout.end(), next) == fanout.end()) {
-    fanout.push_back(next);
+  if (std::find(fanout.begin(), fanout.end(), p) == fanout.end()) {
+    fanout.push_back(p);
   }
 }
 
@@ -21,7 +31,7 @@ void Router::leave_group(Addr group, PacketSink* next) {
   auto it = groups_.find(group);
   if (it == groups_.end()) return;
   auto& fanout = it->second;
-  fanout.erase(std::remove(fanout.begin(), fanout.end(), next), fanout.end());
+  std::erase_if(fanout, [next](const Port* p) { return p->egress == next; });
   if (fanout.empty()) groups_.erase(it);
 }
 
@@ -122,13 +132,13 @@ void Router::route(kern::SkBuffPtr skb) {
     // copy ever materializes on the multicast data path.
     const auto& fanout = it->second;
     for (std::size_t i = 0; i + 1 < fanout.size(); ++i) {
-      enqueue(fanout[i], skb->clone());
+      enqueue(*fanout[i], skb->clone());
     }
-    enqueue(fanout.back(), std::move(skb));
+    enqueue(*fanout.back(), std::move(skb));
     return;
   }
   auto it = routes_.find(skb->daddr);
-  PacketSink* next = it != routes_.end() ? it->second : default_route_;
+  Port* next = it != routes_.end() ? it->second : default_route_;
   if (next == nullptr) {
     ++counters_.no_route_drops;
     trace_.emit(trace::EventKind::kDrop, 0, 0, skb->wire_size(),
@@ -136,14 +146,13 @@ void Router::route(kern::SkBuffPtr skb) {
     return;
   }
   ++counters_.forwarded;
-  enqueue(next, std::move(skb));
+  enqueue(*next, std::move(skb));
 }
 
-void Router::enqueue(PacketSink* egress, kern::SkBuffPtr skb) {
+void Router::enqueue(Port& port, kern::SkBuffPtr skb) {
   // Per-egress-port output queues: a saturated forward port must not
   // starve (or drop) traffic leaving through a different port — links
   // are full duplex and switch ports have independent queues.
-  Port& port = ports_[egress];
   if (port.queue.size() >= cfg_.queue_limit) {
     ++counters_.queue_drops;
     trace_.emit(trace::EventKind::kDrop, 0, 0, skb->wire_size(),
@@ -153,17 +162,16 @@ void Router::enqueue(PacketSink* egress, kern::SkBuffPtr skb) {
   trace_.emit(trace::EventKind::kEnqueue, 0, 0, skb->wire_size(),
               static_cast<std::uint32_t>(port.queue.size()));
   port.queue.push_back(std::move(skb));
-  if (!port.busy) service(egress, port);
+  if (!port.busy) service(port);
 }
 
-void Router::service(PacketSink* egress, Port& port) {
+void Router::service(Port& port) {
   if (port.queue.empty()) {
     port.busy = false;
     return;
   }
   port.busy = true;
-  kern::SkBuffPtr skb = std::move(port.queue.front());
-  port.queue.pop_front();
+  kern::SkBuffPtr skb = port.queue.pop_front();
   const sim::SimTime service_time = sim::transmission_time(
       static_cast<std::int64_t>(skb->wire_size()), cfg_.speed_bps);
   if (port.remote_engine != nullptr) {
@@ -178,22 +186,18 @@ void Router::service(PacketSink* egress, Port& port) {
     const std::size_t bytes = skb->wire_size();
     port.remote_engine->post(
         port.remote_src, port.remote_dst, sched_->now() + service_time,
-        bytes, [egress, skb = std::move(skb)]() mutable {
+        bytes, [egress = port.egress, skb = std::move(skb)]() mutable {
           egress->deliver(std::move(skb));
         });
     // The port itself still serializes locally: next packet starts when
     // this one's service interval ends, exactly as in the local branch.
-    sched_->schedule_after(service_time,
-                           [this, egress, &port] { service(egress, port); });
+    sched_->schedule_after(service_time, [this, &port] { service(port); });
     return;
   }
-  // Capturing `port` by reference is safe — unordered_map never moves
-  // its nodes and ports are never erased — and keeps the per-packet
-  // completion off the hash table.
   sched_->schedule_after(service_time,
-                         [this, egress, &port, skb = std::move(skb)]() mutable {
-                           egress->deliver(std::move(skb));
-                           service(egress, port);
+                         [this, &port, skb = std::move(skb)]() mutable {
+                           port.egress->deliver(std::move(skb));
+                           service(port);
                          });
 }
 

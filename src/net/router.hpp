@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -23,6 +22,7 @@
 #include "net/addr.hpp"
 #include "net/disturb.hpp"
 #include "net/loss.hpp"
+#include "net/ring.hpp"
 #include "net/sink.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
@@ -46,7 +46,7 @@ class Router final : public PacketSink {
   void add_route(Addr dst, PacketSink* next);
 
   /// Fallback for destinations with no exact route.
-  void set_default_route(PacketSink* next) { default_route_ = next; }
+  void set_default_route(PacketSink* next) { default_route_ = port(next); }
 
   /// Adds `next` to the fan-out set for multicast group `group`.
   void join_group(Addr group, PacketSink* next);
@@ -152,10 +152,10 @@ class Router final : public PacketSink {
   /// after the instant the handoff is staged.
   void set_remote_egress(PacketSink* egress, sim::ShardEngine* engine,
                          std::size_t src_domain, std::size_t dst_domain) {
-    Port& port = ports_[egress];
-    port.remote_engine = engine;
-    port.remote_src = src_domain;
-    port.remote_dst = dst_domain;
+    Port& p = *port(egress);
+    p.remote_engine = engine;
+    p.remote_src = src_domain;
+    p.remote_dst = dst_domain;
   }
 
   /// Folded end-state of every RNG this router owns (Bernoulli loss,
@@ -169,15 +169,20 @@ class Router final : public PacketSink {
 
  private:
   struct Port {
-    std::deque<kern::SkBuffPtr> queue;
+    PacketSink* egress = nullptr;
+    Ring<kern::SkBuffPtr> queue;
     bool busy = false;
     sim::ShardEngine* remote_engine = nullptr;  ///< set when egress is
     std::size_t remote_src = 0;                 ///< in another domain
     std::size_t remote_dst = 0;
   };
 
-  void enqueue(PacketSink* egress, kern::SkBuffPtr skb);
-  void service(PacketSink* egress, Port& port);
+  /// The port toward `egress`, made on first use (nullptr for none).
+  /// Routes, the default route and fan-out sets hold these pointers:
+  /// ports_ owns the ports and never moves or erases one.
+  Port* port(PacketSink* egress);
+  void enqueue(Port& port, kern::SkBuffPtr skb);
+  void service(Port& port);
   /// Forwarding stage (multicast fan-out / unicast route lookup), split
   /// from deliver() so a disturbed packet can be re-injected here after
   /// its reorder hold without re-running the ingress loss draws.
@@ -193,9 +198,9 @@ class Router final : public PacketSink {
   std::optional<Disturber> disturb_;
   ControlClassifier classify_control_ = nullptr;
 
-  std::unordered_map<Addr, PacketSink*> routes_;
-  std::unordered_map<Addr, std::vector<PacketSink*>> groups_;
-  PacketSink* default_route_ = nullptr;
+  std::unordered_map<Addr, Port*> routes_;
+  std::unordered_map<Addr, std::vector<Port*>> groups_;
+  Port* default_route_ = nullptr;
 
   std::unordered_map<PacketSink*, Port> ports_;
   Counters counters_;

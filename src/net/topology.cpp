@@ -68,6 +68,11 @@ void Topology::build(
   nics_[0]->attach_host(sender_.get());
   backbone_->add_route(sender_addr, nics_[0].get());
 
+  std::size_t receiver_total = 0;
+  for (const GroupSpec& spec : cfg.groups) {
+    receiver_total += static_cast<std::size_t>(spec.receivers);
+  }
+  receiver_index_.reserve(receiver_total);
   for (std::size_t g = 0; g < cfg.groups.size(); ++g) {
     const GroupSpec& spec = cfg.groups[g];
     sim::Scheduler& gsched = group_sched(g);
@@ -103,6 +108,7 @@ void Topology::build(
       backbone_->add_route(addr, router.get());
 
       nics_.push_back(std::move(nic));
+      receiver_index_.emplace(host.get(), receivers_.size());
       receivers_.push_back(std::move(host));
       receiver_ptrs_.push_back(receivers_.back().get());
       receiver_group_.push_back(g);
@@ -112,10 +118,11 @@ void Topology::build(
 }
 
 std::size_t Topology::host_index(const Host* host) const {
-  for (std::size_t i = 0; i < receivers_.size(); ++i) {
-    if (receivers_[i].get() == host) return i;
+  const auto it = receiver_index_.find(host);
+  if (it == receiver_index_.end()) {
+    throw std::logic_error("Topology: host is not a receiver of this network");
   }
-  throw std::logic_error("Topology: host is not a receiver of this network");
+  return it->second;
 }
 
 void Topology::join_group(Addr group, Host* host) {

@@ -21,6 +21,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "net/host.hpp"
@@ -127,6 +128,8 @@ class Topology final : public GroupControl {
   std::vector<std::unique_ptr<Nic>> nics_;  // [0] = sender's
   std::unique_ptr<Host> sender_;
   std::vector<std::unique_ptr<Host>> receivers_;
+  /// Receiver slot of each receiver host, for join/leave_group.
+  std::unordered_map<const Host*, std::size_t> receiver_index_;
   std::vector<Host*> receiver_ptrs_;
   std::vector<std::size_t> receiver_group_;
 };

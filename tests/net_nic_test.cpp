@@ -9,6 +9,7 @@
 
 #include "kern/mem.hpp"
 #include "net/addr.hpp"
+#include "net/ring.hpp"
 #include "net/router.hpp"
 #include "sim/random.hpp"
 
@@ -31,6 +32,27 @@ kern::SkBuffPtr make_packet(std::size_t payload) {
   auto skb = kern::SkBuff::alloc(payload);
   skb->put(payload);
   return skb;
+}
+
+TEST(Ring, GrowsFromEmptyAndKeepsFifoOrderAcrossWraps) {
+  // Pushes outrun pops a little more each round, so the head has moved
+  // (and the ring has wrapped) before each time it doubles.
+  Ring<std::unique_ptr<int>> r;
+  EXPECT_TRUE(r.empty());
+  int pushed = 0;
+  int popped = 0;
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 5 + 7 * round; ++i) {
+      r.push_back(std::make_unique<int>(pushed++));
+    }
+    for (int i = 0; i < 3 + 4 * round; ++i) {
+      EXPECT_EQ(*r.front(), popped);
+      EXPECT_EQ(*r.pop_front(), popped++);
+    }
+    EXPECT_EQ(r.size(), static_cast<std::size_t>(pushed - popped));
+  }
+  while (!r.empty()) EXPECT_EQ(*r.pop_front(), popped++);
+  EXPECT_EQ(popped, pushed);
 }
 
 TEST(Nic, TransmitSerializesAtLinkRate) {
