@@ -258,30 +258,25 @@ RunResult run_transfer(const Scenario& sc) {
   std::vector<std::unique_ptr<proto::ModeledReceiver>> modeled_socks;
   std::vector<std::unique_ptr<app::SinkApp>> sinks;
   std::vector<sim::SimTime> modeled_complete_at(topo.receiver_count(), -1);
-  // Slots expected to complete that have, counted once per slot from its
-  // completion callback into its own domain's counter: a domain's events
-  // write only their own, and `done` sums them where every domain is
-  // quiescent.
+  // Slots expected to complete that have, per domain: each slot's
+  // completion callback counts it once into its own domain's counter, so
+  // a domain's events write only their own, and `done` sums them where
+  // every domain is quiescent.
   std::vector<std::size_t> completed_in(domains.size(), 0);
-  const auto count_completion = [&completed_in, &expect_complete](
-                                    std::size_t i, std::size_t d) {
-    return [&completed_in, &expect_complete, i, d] {
-      if (expect_complete[i]) ++completed_in[d];
-    };
-  };
   for (std::size_t i = 0; i < topo.receiver_count(); ++i) {
     const std::size_t d = topo.receiver_domain(i);
     sim::Scheduler& dsched = *domains[d];
+    std::size_t* const counted =
+        expect_complete[i] ? &completed_in[d] : nullptr;
     if (const ModeledGroup* mg = modeled_of[i]) {
       auto pop = std::make_unique<proto::ModeledReceiver>(
           topo.receiver(i), sc.proto, group, mg->population, mg->leaf_loss,
           topo.sender().addr());
       pop->set_trace(sink(d, trace::receiver_host(i)));
       // A population reports completion once.
-      pop->on_complete = [&dsched, &modeled_complete_at, i,
-                          counted = count_completion(i, d)] {
+      pop->on_complete = [&dsched, &modeled_complete_at, i, counted] {
         modeled_complete_at[i] = dsched.now();
-        counted();
+        if (counted != nullptr) ++*counted;
       };
       pop->open();
       rcv_socks.push_back(nullptr);
@@ -307,7 +302,9 @@ RunResult run_transfer(const Scenario& sc) {
     if (sc.workload.disk_sink) opt.disk = app::DiskConfig{};
     opt.seed = sim::substream_seed(sc.seed, "sink:" + std::to_string(i));
     sinks.push_back(std::make_unique<app::SinkApp>(*sock, dsched, opt));
-    sinks.back()->on_stream_complete = count_completion(i, d);
+    if (counted != nullptr) {
+      sinks.back()->on_stream_complete = [counted] { ++*counted; };
+    }
     proto::HrmcReceiver* raw = sock.get();
     if (join_at[i] >= 0) {
       dsched.schedule_at(join_at[i], [raw] { raw->open_resync(); });

@@ -16,9 +16,9 @@
 // that reference slots by (index, generation), ordered by a comparator
 // object the heap algorithms inline. Cancellation bumps the slot's
 // generation — the queue entry becomes a tombstone that is skipped when
-// popped, or swept early by lazy compaction once tombstones exceed half
-// the queue *and* an absolute floor (so small queues never pay a
-// rebuild; sweeps are counted in compactions() for the bench).
+// popped, or swept early by lazy compaction once tombstones outnumber
+// live events *and* reach an absolute floor (so small queues never pay
+// a rebuild; sweeps are counted in compactions() for the bench).
 // postpone() moves a pending event to a time no earlier than its own
 // without touching the heap: the slot takes the new (when, seq) key, and
 // the stale entry — never later than that key — is re-keyed when it
@@ -28,6 +28,14 @@
 // then fires exactly where schedule_at() at key time would have put it.
 // A FIFO delay line (the NIC's receive hold) uses the pair to keep one
 // pending event, for its head, instead of one per element.
+// Same-instant bursts: an event keyed (t, s + 1) while the event keyed
+// (t, s) is pending links behind it instead of taking a heap entry, so
+// a burst of them (a router's fan-out, then the NIC hand-offs and CPU
+// completions it leads to) keeps one entry, held by its first member.
+// No other event can hold a key between the two, so running the chain
+// in order is exactly heap order, and when the first member fires the
+// next inherits its entry in place, with no sift. Cancel and postpone
+// unlink a member and keep the rest in order (SchedulerCore::unchain).
 // In steady state schedule_after() allocates nothing: slots
 // are reused, the heap vector's capacity is reused, and callbacks whose
 // captures fit 64 bytes are stored inline in the slot (larger ones fall
@@ -139,6 +147,7 @@ struct SchedulerCore {
     std::uint32_t prev = kNoSlot;
     bool armed = false;  ///< an un-fired, un-cancelled event is queued
   };
+  static_assert(sizeof(Slot) <= 128, "a slot fits two cache lines");
 
   /// Heap entry: plain data, 24 bytes; the callable stays in its slot.
   struct Entry {
