@@ -258,10 +258,10 @@ RunResult run_transfer(const Scenario& sc) {
   std::vector<std::unique_ptr<proto::ModeledReceiver>> modeled_socks;
   std::vector<std::unique_ptr<app::SinkApp>> sinks;
   std::vector<sim::SimTime> modeled_complete_at(topo.receiver_count(), -1);
-  // Slots expected to complete that have, per domain: each slot's
-  // completion callback counts it once into its own domain's counter, so
-  // a domain's events write only their own, and `done` sums them where
-  // every domain is quiescent.
+  // How many slots expected to complete have completed, per domain.
+  // Each slot's completion callback counts it once into its own
+  // domain's counter, so a domain's events write only their own, and
+  // `done` sums them where every domain is quiescent.
   std::vector<std::size_t> completed_in(domains.size(), 0);
   for (std::size_t i = 0; i < topo.receiver_count(); ++i) {
     const std::size_t d = topo.receiver_domain(i);

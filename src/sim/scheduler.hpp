@@ -193,6 +193,9 @@ struct SchedulerCore {
   std::vector<Entry> heap;  // min-heap by (when, seq) via std::*_heap
   std::size_t tombstones = 0;
   std::size_t linked = 0;  ///< armed events linked behind another, no entry
+  /// Two, so that one burst's fresh-key chain (CPU completions) and
+  /// stored-key chain (each NIC's next head) grow side by side; an
+  /// insert that follows neither replaces the one used less recently.
   Tail tails[2];
   unsigned tail_mru = 0;  ///< the tail extended or set last
   SimTime now = 0;
