@@ -154,6 +154,27 @@ TEST_F(AppsTest, MemoryTransferDeliversEverything) {
   rcv.stop();
 }
 
+TEST_F(AppsTest, StreamCompleteHookRunsOnceAcrossRepeatedReports) {
+  // A receiver that crashes and restarts can report completion twice.
+  // The sink's hook, which run_transfer counts completed slots with,
+  // runs once; complete_at() follows the latest report.
+  const net::Endpoint group{net::make_addr(224, 7, 7, 7), 7500};
+  proto::HrmcReceiver rcv(topo_->receiver(0), proto::Config{}, group,
+                          topo_->sender().addr());
+  SinkApp sink(rcv, sched_, SinkApp::Options{});
+  int calls = 0;
+  sink.on_stream_complete = [&calls] { ++calls; };
+  sched_.run_until(sim::milliseconds(1));
+  rcv.on_complete();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(sink.complete_at(), sim::milliseconds(1));
+  sched_.run_until(sim::milliseconds(2));
+  rcv.on_complete();
+  EXPECT_EQ(calls, 1);
+  EXPECT_TRUE(sink.stream_complete());
+  EXPECT_EQ(sink.complete_at(), sim::milliseconds(2));
+}
+
 TEST_F(AppsTest, ReadRateCapSlowsConsumption) {
   const net::Endpoint group{net::make_addr(224, 7, 7, 7), 7500};
   proto::Config cfg;
