@@ -710,7 +710,8 @@ TEST(Scheduler, ChainsFireInTheOrderOfAnOrderedMapOnKeys) {
           ++next_seq;
         }
       } else if (pick < 0.5) {
-        // Insert deferred keys in key order, as a FIFO delay line would.
+        // Insert most deferred keys, in the order they were taken; the
+        // rest wait for a later round.
         for (std::size_t id = 0; id < deferred.size(); ++id) {
           if (!deferred[id] || rng.chance(0.3)) continue;
           const EventKey k = *deferred[id];
