@@ -233,9 +233,13 @@ int main(int argc, char** argv) {
   // A 1-core host timeshares every worker onto one CPU, so speedups
   // there hover near (or below) 1.0 by construction -- identity is the
   // property that must hold anywhere. The floors are targets the engine
-  // barely meets: on 4 cores (GCC 12.2, Release) the smoke cell ran
-  // 1.53x-1.73x at 2 threads over seven runs, and the full cell 1.65x at
-  // 2 threads but 1.66x at 4, so full mode fails its 4-thread floor.
+  // does not meet yet. On a 4-core shared host (GCC 12.2, Release+LTO),
+  // with each domain kept on a home worker, the smoke cell ran
+  // 0.99x-1.52x at 2 threads over ten runs (median 1.23x), and the full
+  // cell 1.22x-1.36x at 2 threads and 1.06x-2.50x at 4 over six runs
+  // (medians 1.27x and 2.05x). Handing each domain to whichever worker
+  // claimed it next gave 0.96x-1.26x (median 1.08x) on the smoke cell
+  // and medians of 1.00x and 1.36x on the full one, in alternating runs.
   struct Floor {
     unsigned threads;
     double speedup;

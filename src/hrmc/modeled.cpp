@@ -25,6 +25,7 @@ ModeledReceiver::ModeledReceiver(net::Host& host, const Config& cfg,
       sender_addr_(sender_hint),
       population_(std::max<std::uint32_t>(population, 1)),
       leaf_loss_(std::clamp(leaf_loss, 0.0, 1.0)),
+      leaf_log1mp_(std::log1p(-leaf_loss_)),
       rng_(sim::substream_seed(
           sim::substream_seed(cfg.feedback_seed, "modeled-rx"),
           std::to_string(host.addr()))),
@@ -85,7 +86,7 @@ std::uint32_t ModeledReceiver::draw_losses(std::uint64_t n, double p) {
         std::clamp(x, 0.0, static_cast<double>(n)));
   }
   // Geometric skipping: expected O(n·p + 1) draws.
-  const double log1mp = std::log1p(-p);
+  const double log1mp = p == leaf_loss_ ? leaf_log1mp_ : std::log1p(-p);
   std::uint64_t count = 0;
   std::uint64_t i = 0;
   while (true) {

@@ -116,6 +116,7 @@ class ModeledReceiver final : public net::Transport {
   net::Addr sender_addr_ = 0;
   std::uint32_t population_;
   double leaf_loss_;
+  double leaf_log1mp_;  ///< log1p(-leaf_loss_), taken once for draw_losses
 
   bool started_ = false;      ///< first DATA seen; baseline anchored
   bool joined_ = false;

@@ -27,7 +27,7 @@ class SpinWait {
 }  // namespace
 
 ShardEngine::ShardEngine(std::size_t domains, SimTime lookahead)
-    : lookahead_(lookahead) {
+    : lookahead_(lookahead), claimed_(domains), next_at_(domains) {
   if (domains == 0) {
     throw std::invalid_argument("ShardEngine: need at least one domain");
   }
@@ -100,20 +100,33 @@ void ShardEngine::apply_controls() {
   }
 }
 
-void ShardEngine::run_claimed(SimTime until, std::size_t worker) {
-  for (;;) {
-    const std::size_t k = claim_.fetch_add(1, std::memory_order_relaxed);
-    if (k >= active_.size()) return;
+void ShardEngine::run_claimed(SimTime until, std::size_t worker,
+                              std::size_t workers) {
+  // Returns false once a domain has thrown: this worker claims no more.
+  const auto claim_and_run = [&](std::uint32_t dom) {
+    if (claimed_[dom].exchange(true, std::memory_order_relaxed)) return true;
     try {
-      domains_[active_[k]]->run_until(until);
+      domains_[dom]->run_until(until);
     } catch (...) {
       worker_errors_[worker] = std::current_exception();
+      return false;
+    }
+    return true;
+  };
+  for (const std::uint32_t dom : active_) {
+    if (dom % workers == worker && !claim_and_run(dom)) return;
+  }
+  // Steal from the back: a domain's home worker walks its domains from
+  // the front, so the ones it would reach last go first.
+  for (auto it = active_.rbegin(); it != active_.rend(); ++it) {
+    if (!claimed_[*it].load(std::memory_order_relaxed) &&
+        !claim_and_run(*it)) {
       return;
     }
   }
 }
 
-void ShardEngine::worker_loop(std::size_t worker) {
+void ShardEngine::worker_loop(std::size_t worker, std::size_t workers) {
   std::uint64_t seen = 0;
   for (;;) {
     SpinWait spin;
@@ -123,7 +136,7 @@ void ShardEngine::worker_loop(std::size_t worker) {
     }
     if (stop_.load(std::memory_order_relaxed)) return;
     seen = e;
-    run_claimed(window_end_ - 1, worker);
+    run_claimed(window_end_ - 1, worker, workers);
     arrived_.fetch_add(1, std::memory_order_release);
   }
 }
@@ -143,7 +156,7 @@ std::uint64_t ShardEngine::run(const std::function<bool()>& done,
   std::vector<std::thread> pool;
   pool.reserve(workers > 0 ? workers - 1 : 0);
   for (unsigned w = 1; w < workers; ++w) {
-    pool.emplace_back([this, w] { worker_loop(w); });
+    pool.emplace_back([this, w, workers] { worker_loop(w, workers); });
   }
   const auto join_pool = [&] {
     if (pool.empty()) return;
@@ -162,8 +175,9 @@ std::uint64_t ShardEngine::run(const std::function<bool()>& done,
       if (done && done()) break;
 
       SimTime next = kTimeInfinity;
-      for (auto& dom : domains_) {
-        next = std::min(next, dom->next_event_time());
+      for (std::size_t i = 0; i < d; ++i) {
+        next_at_[i] = domains_[i]->next_event_time();
+        next = std::min(next, next_at_[i]);
       }
       if (next == kTimeInfinity || next > horizon) break;
 
@@ -176,20 +190,20 @@ std::uint64_t ShardEngine::run(const std::function<bool()>& done,
 
       active_.clear();
       for (std::uint32_t i = 0; i < d; ++i) {
-        if (domains_[i]->next_event_time() < window_end_) {
+        if (next_at_[i] < window_end_) {
           active_.push_back(i);
+          claimed_[i].store(false, std::memory_order_relaxed);
         }
       }
       ++stats_.epochs;
 
       // --- Parallel phase. ---
-      claim_.store(0, std::memory_order_relaxed);
       if (pool.empty()) {
-        run_claimed(window_end_ - 1, 0);
+        run_claimed(window_end_ - 1, 0, workers);
       } else {
         arrived_.store(0, std::memory_order_relaxed);
         epoch_.fetch_add(1, std::memory_order_release);
-        run_claimed(window_end_ - 1, 0);
+        run_claimed(window_end_ - 1, 0, workers);
         SpinWait spin;
         while (arrived_.load(std::memory_order_acquire) != workers - 1) {
           spin.pause();

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -107,6 +112,127 @@ TEST(ShardEngine, LookaheadViolationThrows) {
     eng.post(0, 1, eng.domain(0).now(), 10, [] {});  // zero latency: illegal
   });
   EXPECT_THROW(eng.run({}, kTimeInfinity, 2), std::logic_error);
+}
+
+TEST(ShardEngine, WorkerExceptionIsRethrownAfterJoin) {
+  // Domain 1 is homed on worker 1 at 2 and at 4 threads. Domain 0's
+  // event at the same instant holds the calling thread (worker 0) until
+  // domain 1 has thrown, so the throw surfaces on a pool thread. run()
+  // must rethrow it on the caller's thread, join the pool (an unjoined
+  // std::thread would end the process) and leave its run state.
+  for (unsigned threads : {2u, 4u}) {
+    ShardEngine eng(4, microseconds(50));
+    for (std::size_t d = 0; d < 4; ++d) {
+      for (int k = 1; k <= 100; ++k) {
+        eng.domain(d).schedule_at(microseconds(10 * k), [] {});
+      }
+    }
+    std::atomic<bool> thrown{false};
+    std::thread::id thrower;
+    eng.domain(1).schedule_at(microseconds(505), [&thrown, &thrower] {
+      thrower = std::this_thread::get_id();
+      thrown.store(true, std::memory_order_release);
+      throw std::logic_error("domain 1 failed");
+    });
+    eng.domain(0).schedule_at(microseconds(505), [&thrown] {
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (!thrown.load(std::memory_order_acquire) &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+    });
+    EXPECT_THROW(eng.run({}, kTimeInfinity, threads), std::logic_error)
+        << threads << " threads";
+    EXPECT_NE(thrower, std::this_thread::get_id()) << threads << " threads";
+    int ran = 0;
+    eng.post_control(0, [&ran] { ran = 1; });
+    EXPECT_EQ(ran, 1) << "post_control after the throw must apply inline";
+  }
+}
+
+// Nine domains ticking once per lookahead, except domain 0, which ticks
+// 100 times per lookahead; each light tick (and every 100th busy one)
+// hands a hop to the next domain. Domain 0 thus runs about 50x the
+// events of any other domain per epoch, so its home worker is still
+// busy when the others run out of home domains and steal.
+struct SkewWorld {
+  static constexpr std::size_t kDomains = 9;
+  static constexpr SimTime kLookahead = microseconds(50);
+  static constexpr SimTime kEnd = milliseconds(10);
+
+  SkewWorld() : engine(kDomains, kLookahead), logs(kDomains),
+                off_home(kDomains, 0) {}
+
+  /// Logs `id` in domain `d` and counts a run away from the domain's
+  /// home worker: worker 0 is the calling thread.
+  void note(std::size_t d, int id) {
+    logs[d].emplace_back(engine.domain(d).now(), id);
+    const bool on_caller = std::this_thread::get_id() == caller;
+    if (on_caller != (d % workers == 0)) ++off_home[d];
+  }
+
+  void tick(std::size_t d, int n) {
+    note(d, 2 * n);
+    Scheduler& sched = engine.domain(d);
+    const int per_hop = d == 0 ? 100 : 1;
+    if (n % per_hop == 0) {
+      const std::size_t nd = (d + 1) % kDomains;
+      engine.post(d, nd, sched.now() + kLookahead, 64,
+                  [this, nd, n] { note(nd, 2 * n + 1); });
+    }
+    const SimTime step = kLookahead / per_hop;
+    if (sched.now() + step < kEnd) {
+      sched.schedule_after(step, [this, d, n] { tick(d, n + 1); });
+    }
+  }
+
+  ShardEngine engine;
+  std::vector<Log> logs;
+  std::vector<int> off_home;
+  std::thread::id caller = std::this_thread::get_id();
+  unsigned workers = 1;
+};
+
+TEST(ShardEngine, StolenDomainsRunOnceAndBitIdentical) {
+  const auto run = [](unsigned threads, SkewWorld& w) {
+    w.workers = threads;
+    for (std::size_t d = 0; d < SkewWorld::kDomains; ++d) {
+      w.engine.domain(d).schedule_at(microseconds(1 + d),
+                                     [&w, d] { w.tick(d, 0); });
+    }
+    return w.engine.run({}, kTimeInfinity, threads);
+  };
+  SkewWorld serial;
+  const std::uint64_t serial_events = run(1, serial);
+  for (unsigned threads : {1u, 2u, 4u, 8u}) {
+    SkewWorld w;
+    const std::uint64_t events = run(threads, w);
+    EXPECT_EQ(w.logs, serial.logs) << threads << " threads";
+    EXPECT_EQ(events, serial_events) << threads << " threads";
+    EXPECT_EQ(w.engine.stats().epochs, serial.engine.stats().epochs)
+        << threads << " threads";
+    // No event ran twice: each domain logs every id once, and the
+    // logs hold exactly the executed events.
+    std::size_t logged = 0;
+    for (Log log : w.logs) {
+      logged += log.size();
+      std::ranges::sort(log, {}, &Log::value_type::second);
+      EXPECT_TRUE(std::ranges::adjacent_find(log, {},
+                                             &Log::value_type::second) ==
+                  log.end())
+          << threads << " threads";
+    }
+    EXPECT_EQ(logged, events) << threads << " threads";
+    // With two workers every steal moves a domain to or from the
+    // calling thread, so at least one shows here.
+    if (threads == 2) {
+      EXPECT_GT(std::accumulate(w.off_home.begin(), w.off_home.end(), 0),
+                0);
+    }
+  }
+  EXPECT_GT(serial.engine.stats().epochs, 150u);
+  EXPECT_GT(serial.logs[0].size(), 40 * serial.logs[1].size());
 }
 
 TEST(ShardEngine, SetupPostsRunWithoutBarriers) {
