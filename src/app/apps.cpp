@@ -14,7 +14,7 @@ SourceApp::SourceApp(proto::HrmcSender& sock, sim::Scheduler& sched,
   if (opt_.disk) {
     disk_.emplace(*opt_.disk, sim::substream_seed(opt_.seed, "source-disk"));
   }
-  chunk_buf_.resize(opt_.chunk);
+  chunk_buf_ = std::make_unique_for_overwrite<std::uint8_t[]>(opt_.chunk);
   sock_.on_writable = [this] { pump(); };
 }
 
@@ -35,7 +35,7 @@ void SourceApp::fetch_chunk() {
   chunk_len_ = static_cast<std::size_t>(
       std::min<std::uint64_t>(remaining, opt_.chunk));
   chunk_off_ = 0;
-  pattern_fill(std::span(chunk_buf_.data(), chunk_len_), offered_);
+  pattern_fill(std::span(chunk_buf_.get(), chunk_len_), offered_);
 
   if (disk_) {
     fetching_ = true;
@@ -52,7 +52,7 @@ void SourceApp::pump() {
   if (closed_ || fetching_) return;
   while (chunk_off_ < chunk_len_) {
     const std::size_t n = sock_.send(std::span<const std::uint8_t>(
-        chunk_buf_.data() + chunk_off_, chunk_len_ - chunk_off_));
+        chunk_buf_.get() + chunk_off_, chunk_len_ - chunk_off_));
     if (n == 0) return;  // send buffer full; on_writable resumes us
     chunk_off_ += n;
     offered_ += n;
@@ -70,7 +70,7 @@ SinkApp::SinkApp(proto::HrmcReceiver& sock, sim::Scheduler& sched,
   if (opt_.disk) {
     disk_.emplace(*opt_.disk, sim::substream_seed(opt_.seed, "sink-disk"));
   }
-  buf_.resize(opt_.chunk);
+  buf_ = std::make_unique_for_overwrite<std::uint8_t[]>(opt_.chunk);
   sock_.on_readable = [this] { maybe_read(); };
   sock_.on_complete = [this] {
     if (complete_at_ < 0 && on_stream_complete) on_stream_complete();
@@ -86,11 +86,11 @@ void SinkApp::maybe_read() {
 }
 
 void SinkApp::do_read() {
-  const std::size_t n = sock_.recv(std::span(buf_.data(), buf_.size()));
+  const std::size_t n = sock_.recv(std::span(buf_.get(), opt_.chunk));
   if (n > 0) {
     if (opt_.verify) {
       const std::size_t ok =
-          pattern_verify(std::span<const std::uint8_t>(buf_.data(), n),
+          pattern_verify(std::span<const std::uint8_t>(buf_.get(), n),
                          offset_);
       // A stream that skipped bytes (RMC NAK_ERR) is expected to fail
       // verification; don't double-report in that case.

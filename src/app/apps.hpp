@@ -4,8 +4,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
-#include <vector>
 
 #include "app/disk.hpp"
 #include "app/pattern.hpp"
@@ -51,7 +51,9 @@ class SourceApp {
   Options opt_;
   std::optional<DiskModel> disk_;
 
-  std::vector<std::uint8_t> chunk_buf_;
+  /// opt_.chunk bytes, left uninitialized: pattern_fill writes each
+  /// chunk before the socket reads it.
+  std::unique_ptr<std::uint8_t[]> chunk_buf_;
   std::size_t chunk_len_ = 0;   ///< bytes in chunk_buf_
   std::size_t chunk_off_ = 0;   ///< bytes of chunk_buf_ already accepted
   std::uint64_t offered_ = 0;   ///< stream bytes accepted by the socket
@@ -107,7 +109,8 @@ class SinkApp {
   Options opt_;
   std::optional<DiskModel> disk_;
 
-  std::vector<std::uint8_t> buf_;
+  /// opt_.chunk bytes, left uninitialized: recv writes what is read.
+  std::unique_ptr<std::uint8_t[]> buf_;
   std::uint64_t offset_ = 0;
   bool reading_ = false;
   bool finished_ = false;

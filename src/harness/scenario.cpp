@@ -449,6 +449,7 @@ RunResult run_transfer(const Scenario& sc) {
   res.sender = snd.stats();
   res.member_min_rescan_work = snd.members().min_rescan_work();
   sim::SimTime last_complete = kSenderStart;
+  res.per_receiver.reserve(sinks.size());
   for (std::size_t i = 0; i < sinks.size(); ++i) {
     const bool complete = slot_complete(i);
     res.completed = res.completed && complete;

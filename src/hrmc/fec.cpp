@@ -62,11 +62,21 @@ void accumulate(std::uint8_t* dst, const std::uint8_t* src, std::size_t len,
     for (std::size_t b = 0; b < len; ++b) dst[b] ^= src[b];
     return;
   }
-  const Tables& t = tables();
-  const std::size_t lc = t.log_[coeff];
+  // Bit planes (see fec.hpp): plane[k] = coeff * 2^k, selected by bit k
+  // of each source byte. The select compiles to a byte compare and
+  // mask, so the loop has no branch and vectorizes at baseline SSE2.
+  // Each byte is read before it is written, so dst may equal src.
+  std::array<std::uint8_t, 8> plane{};
+  for (unsigned k = 0; k < 8; ++k) {
+    plane[k] = gf_mul(coeff, static_cast<std::uint8_t>(1u << k));
+  }
   for (std::size_t b = 0; b < len; ++b) {
     const std::uint8_t s = src[b];
-    if (s != 0) dst[b] ^= t.exp_[lc + t.log_[s]];
+    std::uint8_t r = 0;
+    for (unsigned k = 0; k < 8; ++k) {
+      r ^= (s & (1u << k)) != 0 ? plane[k] : std::uint8_t{0};
+    }
+    dst[b] ^= r;
   }
 }
 
@@ -120,9 +130,11 @@ bool decode(std::size_t k, std::size_t shard_len,
     }
     const std::uint8_t inv = gf_inv(m[col][col]);
     for (std::size_t b = col; b < e; ++b) m[col][b] = gf_mul(m[col][b], inv);
-    for (std::size_t b = 0; b < shard_len; ++b) {
-      synd[col][b] = gf_mul(synd[col][b], inv);
-    }
+    // inv * x = x ^ (inv ^ 1) * x, so the row scales in place through
+    // accumulate, which returns at once when inv is 1 (a single erasure
+    // decoded from the all-ones row 0).
+    accumulate(synd[col].data(), synd[col].data(), shard_len,
+               static_cast<std::uint8_t>(inv ^ 1));
     for (std::size_t row = 0; row < e; ++row) {
       if (row == col || m[row][col] == 0) continue;
       const std::uint8_t f = m[row][col];

@@ -15,8 +15,13 @@
 // coefficients for the shards it did accumulate — the absent tail
 // shards are implicitly all-zero and contribute nothing.
 //
-// Shard safety: the codec is pure table arithmetic — no RNG, no clock,
-// no global state beyond lazily built constant tables — so encode and
+// accumulate() multiplies by bit planes: coeff * s is the XOR of
+// coeff * 2^k over the set bits k of s, selected per byte by a mask,
+// so the byte loop has no branch or table lookup. Only gf_mul, gf_inv
+// and coefficient() read the log/exp tables.
+//
+// Shard safety: the codec is pure arithmetic — no RNG, no clock, no
+// global state beyond lazily built constant tables — so encode and
 // decode are bit-identical at any sim::ShardEngine worker count.
 #pragma once
 
@@ -46,7 +51,7 @@ inline constexpr std::size_t kMaxParity = 8;
 
 /// dst[b] ^= coeff * src[b] for b in [0, len): the encoder's inner
 /// loop, exposed so the sender can accumulate parity incrementally as
-/// each data packet first transmits.
+/// each data packet first transmits. dst may equal src.
 void accumulate(std::uint8_t* dst, const std::uint8_t* src, std::size_t len,
                 std::uint8_t coeff);
 

@@ -46,7 +46,9 @@ std::vector<NakRange> NakList::add_gap(Seq from, Seq to, sim::SimTime now) {
 }
 
 void NakList::fill(Seq from, Seq to) {
-  if (!seq_before(from, to)) return;
+  // Nothing pending, the common case for in-order data: return before
+  // building a vector.
+  if (ranges_.empty() || !seq_before(from, to)) return;
   std::vector<NakRange> out;
   out.reserve(ranges_.size() + 1);
   for (const NakRange& r : ranges_) {

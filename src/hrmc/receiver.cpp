@@ -376,9 +376,7 @@ void HrmcReceiver::process_data(const Header& h, kern::SkBuffPtr skb) {
   // FEC extension: remember data payloads so a later parity packet can
   // reconstruct lost siblings. Sub-MSS payloads matter too: the tail
   // shard of a truncated group is short, and decode needs its bytes.
-  if (cfg_.fec_group > 0 && h.length > 0) {
-    fec_cache_store(begin, skb->bytes());
-  }
+  if (cfg_.fec_group > 0 && h.length > 0) fec_cache_store(begin, *skb);
 
   // Repairer role: every arriving DATA packet (duplicates included —
   // a retransmission we no longer need may be exactly what a child is
@@ -627,22 +625,22 @@ void HrmcReceiver::check_flow_control(std::uint32_t advertised_rate) {
 // FEC extension (§6 future work (4))
 // --------------------------------------------------------------------
 
-void HrmcReceiver::fec_cache_store(Seq begin,
-                                   std::span<const std::uint8_t> payload) {
+void HrmcReceiver::fec_cache_store(Seq begin, const kern::SkBuff& payload) {
   // Arrival order ~= sequence order; refreshing duplicates is pointless.
   for (const FecCacheEntry& e : fec_cache_) {
     if (e.begin == begin) return;
   }
   // Fallible allocation: an uncacheable shard only costs FEC its chance
   // to decode this group — ARQ still recovers (fec_note_decode_fail).
+  // The ledger charges the payload bytes the shard pins, as it would
+  // for a private copy.
   if (!mem_charge(kern::MemComponent::kFecData, payload.size())) return;
-  fec_cache_.push_back(
-      FecCacheEntry{begin, {payload.begin(), payload.end()}});
+  fec_cache_.push_back(FecCacheEntry{begin, payload.clone()});
   const std::size_t cap =
       std::max<std::size_t>(1, kFecCacheGroups * cfg_.fec_group);
   while (fec_cache_.size() > cap) {
     mem_uncharge(kern::MemComponent::kFecData,
-                 fec_cache_.front().bytes.size());
+                 fec_cache_.front().payload->size());
     fec_cache_.pop_front();
   }
 }
@@ -689,23 +687,23 @@ void HrmcReceiver::process_fec(const Header& h, kern::SkBuffPtr skb) {
     return;
   }
   fec_parity_store(h.seq, h.rate, static_cast<std::uint8_t>(parity_index),
-                   skb->bytes());
+                   std::move(skb));
   fec_try_decode(h.seq, h.rate, h.length);
 }
 
 void HrmcReceiver::fec_parity_store(Seq begin, std::uint32_t span,
                                     std::uint8_t index,
-                                    std::span<const std::uint8_t> payload) {
+                                    kern::SkBuffPtr payload) {
   for (const FecParityEntry& e : fec_parity_cache_) {
     if (e.begin == begin && e.index == index) return;  // duplicate row
   }
-  if (!mem_charge(kern::MemComponent::kFecParity, payload.size())) return;
+  if (!mem_charge(kern::MemComponent::kFecParity, payload->size())) return;
   fec_parity_cache_.push_back(
-      FecParityEntry{begin, span, index, {payload.begin(), payload.end()}});
+      FecParityEntry{begin, span, index, std::move(payload)});
   const std::size_t cap = kFecCacheGroups * fec::kMaxParity;
   while (fec_parity_cache_.size() > cap) {
     mem_uncharge(kern::MemComponent::kFecParity,
-                 fec_parity_cache_.front().bytes.size());
+                 fec_parity_cache_.front().payload->size());
     fec_parity_cache_.pop_front();
   }
 }
@@ -741,8 +739,9 @@ void HrmcReceiver::fec_try_decode(Seq begin, std::uint32_t span,
   // Parity rows held for this exact group.
   std::vector<fec::ParityShard> parities;
   for (const FecParityEntry& e : fec_parity_cache_) {
-    if (e.begin == begin && e.span == span && e.bytes.size() == shard_len) {
-      parities.push_back(fec::ParityShard{e.index, e.bytes.data()});
+    if (e.begin == begin && e.span == span &&
+        e.payload->size() == shard_len) {
+      parities.push_back(fec::ParityShard{e.index, e.payload->data()});
     }
   }
   if (missing.size() > parities.size()) {
@@ -754,9 +753,11 @@ void HrmcReceiver::fec_try_decode(Seq begin, std::uint32_t span,
     return;
   }
 
-  // Gather the present shards' bytes, zero-padded to shard_len.
-  std::vector<std::vector<std::uint8_t>> padded(k);
+  // Gather the present shards. A full-length shard is decoded in place
+  // from its cached skb; only the group's tail shard can be short, and
+  // it alone is copied, zero-padded to shard_len.
   std::vector<const std::uint8_t*> shards(k, nullptr);
+  std::vector<std::uint8_t> padded_tail;
   std::size_t m = 0;
   for (std::size_t i = 0; i < k; ++i) {
     if (m < missing.size() && missing[m] == i) {
@@ -765,16 +766,19 @@ void HrmcReceiver::fec_try_decode(Seq begin, std::uint32_t span,
     }
     const Seq b = begin + static_cast<Seq>(i) * shard_len;
     const FecCacheEntry* e = fec_cache_find(b);
-    if (e == nullptr || e->bytes.size() != shard_bytes(i)) {
+    if (e == nullptr || e->payload->size() != shard_bytes(i)) {
       // The stream holds this shard but its payload aged out of the
       // bounded cache (or arrived pre-FEC): the group is undecodable.
       fec_note_decode_fail(begin, span_end, missing.size(),
                            parities.size());
       return;
     }
-    padded[i].assign(shard_len, 0);
-    std::memcpy(padded[i].data(), e->bytes.data(), e->bytes.size());
-    shards[i] = padded[i].data();
+    shards[i] = e->payload->data();
+    if (shard_bytes(i) < shard_len) {
+      padded_tail.assign(shard_len, 0);
+      std::memcpy(padded_tail.data(), shards[i], shard_bytes(i));
+      shards[i] = padded_tail.data();
+    }
   }
 
   std::vector<std::vector<std::uint8_t>> out;
@@ -793,7 +797,7 @@ void HrmcReceiver::fec_try_decode(Seq begin, std::uint32_t span,
     std::memcpy(rebuilt->put(len), out[a].data(), len);
     stats_.fec_recoveries++;
     trace_.emit(trace::EventKind::kFecRepair, b, b + len, missing.size());
-    fec_cache_store(b, rebuilt->bytes());
+    fec_cache_store(b, *rebuilt);
     splice_reconstructed(b, std::move(rebuilt));
   }
 }
@@ -853,10 +857,10 @@ void HrmcReceiver::mem_uncharge(kern::MemComponent c, std::size_t bytes) {
 
 void HrmcReceiver::mem_uncharge_fec_caches() {
   for (const FecCacheEntry& e : fec_cache_) {
-    mem_uncharge(kern::MemComponent::kFecData, e.bytes.size());
+    mem_uncharge(kern::MemComponent::kFecData, e.payload->size());
   }
   for (const FecParityEntry& e : fec_parity_cache_) {
-    mem_uncharge(kern::MemComponent::kFecParity, e.bytes.size());
+    mem_uncharge(kern::MemComponent::kFecParity, e.payload->size());
   }
 }
 
@@ -875,7 +879,7 @@ void HrmcReceiver::mem_relieve_pressure() {
   // opportunity, a dropped data shard can spoil its whole group.
   while (mem->overage(self, slack) > 0 && !fec_parity_cache_.empty()) {
     mem_uncharge(kern::MemComponent::kFecParity,
-                 fec_parity_cache_.front().bytes.size());
+                 fec_parity_cache_.front().payload->size());
     fec_parity_cache_.pop_front();
     stats_.fec_evictions++;
     trace_.emit(trace::EventKind::kCacheEvict, rcv_nxt_, rcv_nxt_,
@@ -884,7 +888,7 @@ void HrmcReceiver::mem_relieve_pressure() {
   }
   while (mem->overage(self, slack) > 0 && !fec_cache_.empty()) {
     mem_uncharge(kern::MemComponent::kFecData,
-                 fec_cache_.front().bytes.size());
+                 fec_cache_.front().payload->size());
     fec_cache_.pop_front();
     stats_.fec_evictions++;
     trace_.emit(trace::EventKind::kCacheEvict, rcv_nxt_, rcv_nxt_,

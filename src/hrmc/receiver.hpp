@@ -307,13 +307,15 @@ class HrmcReceiver final : public net::Transport {
   // FEC extension: cache of recent data payloads (any length — the tail
   // shard of a truncated group is sub-MSS), used to reconstruct up to r
   // missing packets of a parity group via fec::decode. Bounded by
-  // kFecCacheGroups * cfg_.fec_group entries.
+  // kFecCacheGroups * cfg_.fec_group entries. Each entry is a clone()
+  // of the DATA skb: it shares the data block without copying, and its
+  // own view stays whole while the receive path trims or pulls the
+  // original (prefix trim, partial recv).
   struct FecCacheEntry {
     kern::Seq begin = 0;
-    std::vector<std::uint8_t> bytes;
+    kern::SkBuffPtr payload;
   };
-  void fec_cache_store(kern::Seq begin,
-                       std::span<const std::uint8_t> payload);
+  void fec_cache_store(kern::Seq begin, const kern::SkBuff& payload);
   [[nodiscard]] const FecCacheEntry* fec_cache_find(kern::Seq begin) const;
   [[nodiscard]] bool holds_bytes(kern::Seq begin, kern::Seq end) const;
   void splice_reconstructed(kern::Seq begin, kern::SkBuffPtr skb);
@@ -327,11 +329,10 @@ class HrmcReceiver final : public net::Transport {
     kern::Seq begin = 0;       ///< first byte of the protected group
     std::uint32_t span = 0;    ///< exact byte span covered (wire `rate`)
     std::uint8_t index = 0;    ///< parity row (wire `tries` - 1)
-    std::vector<std::uint8_t> bytes;
+    kern::SkBuffPtr payload;   ///< the parity skb itself, header pulled
   };
   void fec_parity_store(kern::Seq begin, std::uint32_t span,
-                        std::uint8_t index,
-                        std::span<const std::uint8_t> payload);
+                        std::uint8_t index, kern::SkBuffPtr payload);
   /// Attempts an erasure decode of the group [begin, begin + span) with
   /// shard size shard_len, using every parity row held for it.
   void fec_try_decode(kern::Seq begin, std::uint32_t span,

@@ -207,6 +207,34 @@ TEST_F(FecTest, RecoveryAfterConsumptionUsesCache) {
   EXPECT_EQ(off, 4 * kMss);
 }
 
+TEST_F(FecTest, PartialReadsLeaveCachedShardsWhole) {
+  // The app reads packets 0 and 1 in 300-byte chunks, so recv pulls a
+  // queued skb mid-packet. The FEC cache holds its own view of each
+  // payload: the later parity must still find both shards whole and
+  // rebuild packet 2 byte for byte.
+  send_data(0 * kMss);
+  send_data(1 * kMss);
+  run_for(sim::milliseconds(20));
+  std::uint8_t chunk[300];
+  std::uint64_t off = 0;
+  std::size_t n;
+  while ((n = rcv_->recv(chunk)) > 0) {
+    EXPECT_EQ(app::pattern_verify({chunk, n}, off), n);
+    off += n;
+  }
+  ASSERT_EQ(off, 2 * kMss);
+  send_data(3 * kMss);
+  send_fec(0);
+  run_for(sim::milliseconds(50));
+  EXPECT_EQ(rcv_->stats().fec_recoveries, 1u);
+  std::uint8_t buf[8192];
+  while ((n = rcv_->recv(buf)) > 0) {
+    EXPECT_EQ(app::pattern_verify({buf, n}, off), n);
+    off += n;
+  }
+  EXPECT_EQ(off, 4 * kMss);
+}
+
 TEST_F(FecTest, MalformedParityIgnored) {
   send_data(0 * kMss);
   // Span not a multiple of length: must be rejected quietly.

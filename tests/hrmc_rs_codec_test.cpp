@@ -125,6 +125,34 @@ TEST(Coefficients, AllNonzeroAndRowsPairwiseIndependent) {
   }
 }
 
+TEST(Accumulate, MatchesGfMulForEveryCoefficientAndByte) {
+  // Every coefficient against a source holding every byte value, at a
+  // length that is not a multiple of 16 so a vectorized loop's scalar
+  // tail runs too. Both the two-buffer form (encode) and the in-place
+  // form (decode scales a pivot row with dst == src) must equal the
+  // table multiply byte for byte.
+  constexpr std::size_t kLen = 256 + 13;
+  std::vector<std::uint8_t> src(kLen);
+  std::vector<std::uint8_t> dst0(kLen);
+  for (std::size_t b = 0; b < kLen; ++b) {
+    src[b] = static_cast<std::uint8_t>(b);
+    dst0[b] = test_byte(3, b);
+  }
+  for (int c = 0; c < 256; ++c) {
+    const auto uc = static_cast<std::uint8_t>(c);
+    std::vector<std::uint8_t> dst = dst0;
+    accumulate(dst.data(), src.data(), kLen, uc);
+    std::vector<std::uint8_t> self = src;
+    accumulate(self.data(), self.data(), kLen, uc);
+    for (std::size_t b = 0; b < kLen; ++b) {
+      ASSERT_EQ(dst[b], dst0[b] ^ gf_mul(uc, src[b]))
+          << "c=" << c << " b=" << b;
+      ASSERT_EQ(self[b], src[b] ^ gf_mul(uc, src[b]))
+          << "in place, c=" << c << " b=" << b;
+    }
+  }
+}
+
 TEST(RsDecode, EveryLossPatternWithinBudgetDecodes) {
   // For k in {4, 8, 16} and r in {1..4}: every erasure pattern of size
   // e <= r must decode exactly, using the first e parity rows.
