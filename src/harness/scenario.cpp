@@ -144,12 +144,11 @@ RunResult run_transfer(const Scenario& sc) {
           sim::substream_seed(sc.seed,
                               d == 0 ? "mem" : "mem:" + std::to_string(d))));
     }
-    topo.sender().set_mem_accountant(mems[0].get());
-    topo.sender().nic()->set_mem_admission(mems[0].get(), topo.sender().addr());
+    topo.sender().set_mem_accountant(*mems[0]);
+    topo.sender().nic()->set_mem_admission(topo.sender().mem_ledger());
     for (std::size_t i = 0; i < topo.receiver_count(); ++i) {
-      kern::MemAccountant* mem = mems[topo.receiver_domain(i)].get();
-      topo.receiver(i).set_mem_accountant(mem);
-      topo.receiver_nic(i).set_mem_admission(mem, topo.receiver(i).addr());
+      topo.receiver(i).set_mem_accountant(*mems[topo.receiver_domain(i)]);
+      topo.receiver_nic(i).set_mem_admission(topo.receiver(i).mem_ledger());
     }
   }
 

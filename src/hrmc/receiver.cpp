@@ -839,20 +839,18 @@ void HrmcReceiver::splice_reconstructed(Seq begin, kern::SkBuffPtr skb) {
 // --------------------------------------------------------------------
 
 bool HrmcReceiver::mem_charge(kern::MemComponent c, std::size_t bytes) {
-  kern::MemAccountant* mem = host_.mem_accountant();
+  kern::MemLedger* mem = host_.mem_ledger();
   if (mem == nullptr || bytes == 0) return true;
-  if (mem->try_charge(host_.addr(), c, bytes)) return true;
+  if (mem->try_charge(c, bytes)) return true;
   stats_.alloc_fails++;
-  trace_.emit(trace::EventKind::kAllocFail, rcv_nxt_, rcv_nxt_,
-              mem->live(host_.addr()), static_cast<std::uint32_t>(c));
+  trace_.emit(trace::EventKind::kAllocFail, rcv_nxt_, rcv_nxt_, mem->live(),
+              static_cast<std::uint32_t>(c));
   return false;
 }
 
 void HrmcReceiver::mem_uncharge(kern::MemComponent c, std::size_t bytes) {
   if (bytes == 0) return;
-  if (kern::MemAccountant* mem = host_.mem_accountant()) {
-    mem->uncharge(host_.addr(), c, bytes);
-  }
+  if (kern::MemLedger* mem = host_.mem_ledger()) mem->uncharge(c, bytes);
 }
 
 void HrmcReceiver::mem_uncharge_fec_caches() {
@@ -865,34 +863,31 @@ void HrmcReceiver::mem_uncharge_fec_caches() {
 }
 
 void HrmcReceiver::mem_relieve_pressure() {
-  kern::MemAccountant* mem = host_.mem_accountant();
+  kern::MemLedger* mem = host_.mem_ledger();
   if (mem == nullptr) return;
-  const std::uint32_t self = host_.addr();
   // Drain to a couple of MTUs *below* the line, never flush to it: a
   // ledger pinned at the budget makes the NIC refuse every data frame,
   // and refused frames can never trigger the pass that would unpin it.
   const std::uint64_t slack = kern::kMemEvictHeadroomBytes;
-  if (mem->overage(self, slack) == 0) return;
+  if (mem->overage(slack) == 0) return;
   // Cheapest first: cached FEC rows are pure optimization — dropping
   // one costs at worst a NAK round trip the protocol already knows how
   // to pay. Parity before data: a dropped parity row loses one repair
   // opportunity, a dropped data shard can spoil its whole group.
-  while (mem->overage(self, slack) > 0 && !fec_parity_cache_.empty()) {
+  while (mem->overage(slack) > 0 && !fec_parity_cache_.empty()) {
     mem_uncharge(kern::MemComponent::kFecParity,
                  fec_parity_cache_.front().payload->size());
     fec_parity_cache_.pop_front();
     stats_.fec_evictions++;
-    trace_.emit(trace::EventKind::kCacheEvict, rcv_nxt_, rcv_nxt_,
-                mem->live(self),
+    trace_.emit(trace::EventKind::kCacheEvict, rcv_nxt_, rcv_nxt_, mem->live(),
                 static_cast<std::uint32_t>(kern::MemComponent::kFecParity));
   }
-  while (mem->overage(self, slack) > 0 && !fec_cache_.empty()) {
+  while (mem->overage(slack) > 0 && !fec_cache_.empty()) {
     mem_uncharge(kern::MemComponent::kFecData,
                  fec_cache_.front().payload->size());
     fec_cache_.pop_front();
     stats_.fec_evictions++;
-    trace_.emit(trace::EventKind::kCacheEvict, rcv_nxt_, rcv_nxt_,
-                mem->live(self),
+    trace_.emit(trace::EventKind::kCacheEvict, rcv_nxt_, rcv_nxt_, mem->live(),
                 static_cast<std::uint32_t>(kern::MemComponent::kFecData));
   }
   // Still over: give back reassembly state, farthest-from-delivery
@@ -901,15 +896,14 @@ void HrmcReceiver::mem_relieve_pressure() {
   // the normal NAK clock, never to a hole the protocol forgot.
   const sim::SimTime now = host_.scheduler().now();
   bool evicted_ooo = false;
-  while (mem->overage(self, slack) > 0 && !out_of_order_queue_.empty()) {
+  while (mem->overage(slack) > 0 && !out_of_order_queue_.empty()) {
     OooSeg seg = std::move(out_of_order_queue_.back());
     out_of_order_queue_.pop_back();
     const auto len = static_cast<std::size_t>(seq_diff(seg.begin, seg.end));
     ooo_bytes_ -= len;
     mem_uncharge(kern::MemComponent::kReassembly, len);
     stats_.ooo_evictions++;
-    trace_.emit(trace::EventKind::kCacheEvict, seg.begin, seg.end,
-                mem->live(self),
+    trace_.emit(trace::EventKind::kCacheEvict, seg.begin, seg.end, mem->live(),
                 static_cast<std::uint32_t>(kern::MemComponent::kReassembly));
     nak_list_.add_gap(seg.begin, seg.end, now);
     evicted_ooo = true;

@@ -200,7 +200,7 @@ class HrmcReceiver final : public net::Transport {
   void check_flow_control(std::uint32_t advertised_rate);
 
   // Memory-pressure robustness (DESIGN.md §16). All four are no-ops /
-  // infallible when the harness installed no kern::MemAccountant, so
+  // infallible when the host has no kern::MemLedger, so
   // accountant-free runs are bit-identical to the pre-§16 protocol.
   /// Charges `bytes` of component `c` against this host's ledger; a
   /// refusal counts stats_.alloc_fails and emits kAllocFail.

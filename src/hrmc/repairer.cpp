@@ -145,10 +145,8 @@ void RepairAgent::cache_data(const Header& h, const kern::SkBuffPtr& skb) {
   // even though this charge fit under the full budget — shed LRU
   // entries until the owner's ledger is back under (or the cache is
   // empty and other components must give instead).
-  if (kern::MemAccountant* mem = owner_.host_.mem_accountant()) {
-    while (mem->overage(owner_.host_.addr(), kern::kMemEvictHeadroomBytes) >
-               0 &&
-           !cache_.empty()) {
+  if (kern::MemLedger* mem = owner_.host_.mem_ledger()) {
+    while (mem->overage(kern::kMemEvictHeadroomBytes) > 0 && !cache_.empty()) {
       evict_front(/*traced=*/true);
     }
   }
@@ -160,11 +158,10 @@ void RepairAgent::evict_front(bool traced) {
   owner_.mem_uncharge(kern::MemComponent::kRepairCache, len);
   if (traced) {
     owner_.stats_.repair_cache_evictions++;
+    const kern::MemLedger* mem = owner_.host_.mem_ledger();
     owner_.trace_.emit(
         trace::EventKind::kCacheEvict, e.begin, e.end,
-        owner_.host_.mem_accountant() != nullptr
-            ? owner_.host_.mem_accountant()->live(owner_.host_.addr())
-            : 0,
+        mem != nullptr ? mem->live() : 0,
         static_cast<std::uint32_t>(kern::MemComponent::kRepairCache));
   }
   cache_.pop_front();

@@ -126,17 +126,14 @@ std::size_t HrmcSender::send(std::span<const std::uint8_t> data) {
 }
 
 bool HrmcSender::charge_send_window() {
-  kern::MemAccountant* mem = host_.mem_accountant();
+  kern::MemLedger* mem = host_.mem_ledger();
   if (mem == nullptr) return true;
-  const net::Addr self = host_.addr();
-  if (mem->try_charge(self, kern::MemComponent::kSendWindow,
-                      window_block_bytes())) {
+  if (mem->try_charge(kern::MemComponent::kSendWindow, window_block_bytes())) {
     alloc_retry_period_ = 0;
     return true;
   }
   stats_.alloc_fails++;
-  trace_.emit(trace::EventKind::kAllocFail, snd_nxt_, snd_nxt_,
-              mem->live(self),
+  trace_.emit(trace::EventKind::kAllocFail, snd_nxt_, snd_nxt_, mem->live(),
               static_cast<std::uint32_t>(kern::MemComponent::kSendWindow));
   if (!alloc_retry_timer_.pending()) {
     alloc_retry_period_ =
@@ -299,19 +296,17 @@ std::uint64_t HrmcSender::fec_flush() {
   const std::size_t plen =
       std::min<std::size_t>(cfg_.mss, static_cast<std::size_t>(fec_bytes_));
   std::uint64_t wire = 0;
-  kern::MemAccountant* mem = host_.mem_accountant();
+  kern::MemLedger* mem = host_.mem_ledger();
   for (std::size_t j = 0; j < fec_parity_.size(); ++j) {
     // Parity is an optimization, not a reliability obligation: a parity
     // row whose transmit buffer cannot be allocated is skipped (along
     // with the rest of the group's rows — pressure rarely lifts within
     // one flush) and the ARQ path covers whatever it would have repaired.
-    if (mem != nullptr &&
-        !mem->admit(host_.addr(), plen + Header::kSize + 44)) {
+    if (mem != nullptr && !mem->admit(plen + Header::kSize + 44)) {
       stats_.fec_parity_skipped += fec_parity_.size() - j;
       stats_.alloc_fails++;
       trace_.emit(trace::EventKind::kAllocFail, fec_begin_,
-                  fec_begin_ + static_cast<Seq>(fec_bytes_),
-                  mem->live(host_.addr()),
+                  fec_begin_ + static_cast<Seq>(fec_bytes_), mem->live(),
                   static_cast<std::uint32_t>(kern::MemComponent::kFecParity));
       break;
     }
@@ -543,9 +538,8 @@ void HrmcSender::try_advance_window() {
     }
     const std::size_t plen = payload_len(head);
     queued_bytes_ -= plen;
-    if (kern::MemAccountant* mem = host_.mem_accountant()) {
-      mem->uncharge(host_.addr(), kern::MemComponent::kSendWindow,
-                    window_block_bytes());
+    if (kern::MemLedger* mem = host_.mem_ledger()) {
+      mem->uncharge(kern::MemComponent::kSendWindow, window_block_bytes());
     }
     snd_wnd_ = head.seq_end;
     trace_.emit(trace::EventKind::kRelease, head.seq_begin, head.seq_end,

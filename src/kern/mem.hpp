@@ -29,8 +29,8 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 
 #include "sim/random.hpp"
 
@@ -67,6 +67,10 @@ inline constexpr std::size_t kMemRxReserveBytes = 256;
 /// while the caches refill.
 inline constexpr std::uint64_t kMemEvictHeadroomBytes = 4096;
 
+/// One domain's memory policy: the per-host budget, the squeeze and
+/// alloc-failure fault windows, the Bernoulli stream, the refusal
+/// counters and the peak over every ledger that points at it. The bytes
+/// live in each host's own MemLedger.
 class MemAccountant {
  public:
   /// `budget_per_host` of 0 means unlimited (budget refusals off; only
@@ -101,59 +105,6 @@ class MemAccountant {
     return std::max<std::uint64_t>(eff, 1);
   }
 
-  // --- the fallible path ---
-
-  /// Charges `bytes` to host's ledger, or refuses (returning false,
-  /// charging nothing) when the Bernoulli failure fires or the ledger
-  /// would exceed the effective budget.
-  bool try_charge(std::uint32_t host, MemComponent c, std::uint64_t bytes) {
-    if (!admit_internal(host, bytes)) return false;
-    charge_unchecked(host, c, bytes);
-    return true;
-  }
-
-  /// Admission probe without a charge — the NIC rx path models "could
-  /// the driver alloc_skb this frame" and drops on refusal; the skb
-  /// memory itself is already accounted at its producer.
-  bool admit(std::uint32_t host, std::uint64_t bytes) {
-    return admit_internal(host, bytes);
-  }
-
-  void uncharge(std::uint32_t host, MemComponent c, std::uint64_t bytes) {
-    Ledger& l = ledgers_[host];
-    const std::size_t ci = static_cast<std::size_t>(c);
-    l.live -= std::min(l.live, bytes);
-    l.by_component[ci] -= std::min(l.by_component[ci], bytes);
-  }
-
-  // --- pressure probes (consumer eviction policies) ---
-
-  /// Bytes host holds beyond the effective budget (a squeeze window can
-  /// push a ledger past the *effective* line without any new charge);
-  /// 0 when under, or when unlimited. `headroom` lowers the drain target
-  /// below the effective line: evicting flush *to* the budget leaves the
-  /// NIC admission probe refusing every full-size frame, so shrinker
-  /// passes ask for overage(host, kMemEvictHeadroomBytes) instead.
-  [[nodiscard]] std::uint64_t overage(std::uint32_t host,
-                                      std::uint64_t headroom = 0) const {
-    if (budget_ == 0) return 0;
-    const auto it = ledgers_.find(host);
-    if (it == ledgers_.end()) return 0;
-    const std::uint64_t eff = effective_budget();
-    const std::uint64_t target = eff > headroom ? eff - headroom : 1;
-    return it->second.live > target ? it->second.live - target : 0;
-  }
-
-  [[nodiscard]] std::uint64_t live(std::uint32_t host) const {
-    const auto it = ledgers_.find(host);
-    return it == ledgers_.end() ? 0 : it->second.live;
-  }
-  [[nodiscard]] std::uint64_t component(std::uint32_t host,
-                                        MemComponent c) const {
-    const auto it = ledgers_.find(host);
-    if (it == ledgers_.end()) return 0;
-    return it->second.by_component[static_cast<std::size_t>(c)];
-  }
   /// Highest single-host ledger ever observed (the invariant bound:
   /// never exceeds budget() when a budget is set).
   [[nodiscard]] std::uint64_t peak_any_host() const { return global_peak_; }
@@ -172,19 +123,17 @@ class MemAccountant {
   [[nodiscard]] std::uint64_t rng_digest() const { return rng_.digest(); }
 
  private:
-  struct Ledger {
-    std::uint64_t live = 0;
-    std::uint64_t by_component[kMemComponentCount] = {};
-  };
+  friend class MemLedger;
 
-  bool admit_internal(std::uint32_t host, std::uint64_t bytes) {
+  /// Whether a ledger holding `live` bytes may take `bytes` more.
+  bool admit(std::uint64_t live, std::uint64_t bytes) {
     if (fail_prob_ > 0.0 && rng_.chance(fail_prob_)) {
       ++counters_.prob_denials;
       ++counters_.alloc_fails;
       return false;
     }
     const std::uint64_t eff = effective_budget();
-    if (eff > 0 && live(host) + bytes > eff) {
+    if (eff > 0 && live + bytes > eff) {
       ++counters_.budget_denials;
       ++counters_.alloc_fails;
       return false;
@@ -192,12 +141,9 @@ class MemAccountant {
     return true;
   }
 
-  void charge_unchecked(std::uint32_t host, MemComponent c,
-                        std::uint64_t bytes) {
-    Ledger& l = ledgers_[host];
-    l.live += bytes;
-    l.by_component[static_cast<std::size_t>(c)] += bytes;
-    if (l.live > global_peak_) global_peak_ = l.live;
+  /// Counts a charge that left a ledger holding `live` bytes.
+  void charged(std::uint64_t live) {
+    global_peak_ = std::max(global_peak_, live);
     ++counters_.charges;
   }
 
@@ -206,8 +152,65 @@ class MemAccountant {
   double fail_prob_ = 0.0;
   std::uint64_t global_peak_ = 0;
   Counters counters_;
-  std::unordered_map<std::uint32_t, Ledger> ledgers_;
   sim::Rng rng_;
+};
+
+/// One host's byte ledger, split by component. Each host under memory
+/// accounting holds its own (net::Host::set_mem_accountant creates it),
+/// and every charge asks its domain's MemAccountant for the policy.
+class MemLedger {
+ public:
+  explicit MemLedger(MemAccountant& acct) : acct_(&acct) {}
+
+  MemLedger(const MemLedger&) = delete;
+  MemLedger& operator=(const MemLedger&) = delete;
+
+  /// Charges `bytes`, or refuses (returning false, charging nothing)
+  /// when the Bernoulli failure fires or the ledger would exceed the
+  /// effective budget.
+  bool try_charge(MemComponent c, std::uint64_t bytes) {
+    if (!admit(bytes)) return false;
+    live_ += bytes;
+    by_component_[static_cast<std::size_t>(c)] += bytes;
+    acct_->charged(live_);
+    return true;
+  }
+
+  /// Admission probe without a charge — the NIC rx path models "could
+  /// the kernel alloc_skb this frame" and drops on refusal; the skb
+  /// memory itself is already accounted at its producer.
+  bool admit(std::uint64_t bytes) { return acct_->admit(live_, bytes); }
+
+  void uncharge(MemComponent c, std::uint64_t bytes) {
+    std::uint64_t& part = by_component_[static_cast<std::size_t>(c)];
+    live_ -= std::min(live_, bytes);
+    part -= std::min(part, bytes);
+  }
+
+  // --- pressure probes (consumer eviction policies) ---
+
+  /// Bytes held beyond the effective budget (a squeeze window can push
+  /// a ledger past the *effective* line without any new charge); 0 when
+  /// under, or when unlimited. `headroom` lowers the drain target below
+  /// the effective line: evicting flush *to* the budget leaves the NIC
+  /// admission probe refusing every full-size frame, so shrinker passes
+  /// ask for overage(kMemEvictHeadroomBytes) instead.
+  [[nodiscard]] std::uint64_t overage(std::uint64_t headroom = 0) const {
+    if (acct_->budget() == 0) return 0;
+    const std::uint64_t eff = acct_->effective_budget();
+    const std::uint64_t target = eff > headroom ? eff - headroom : 1;
+    return live_ > target ? live_ - target : 0;
+  }
+
+  [[nodiscard]] std::uint64_t live() const { return live_; }
+  [[nodiscard]] std::uint64_t component(MemComponent c) const {
+    return by_component_[static_cast<std::size_t>(c)];
+  }
+
+ private:
+  MemAccountant* acct_;
+  std::uint64_t live_ = 0;
+  std::uint64_t by_component_[kMemComponentCount] = {};
 };
 
 }  // namespace hrmc::kern

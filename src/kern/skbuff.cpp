@@ -1,6 +1,5 @@
 #include "kern/skbuff.hpp"
 
-#include <memory>
 #include <new>
 
 #include "kern/checksum.hpp"
@@ -39,12 +38,17 @@ void raw_block_delete(detail::SkbBlock* b) {
   ::operator delete(b);
 }
 
+// Cap on cached views per thread: 1024 sizeof(SkBuff) nodes, 40 KiB.
+constexpr std::size_t kMaxCachedViews = 1024;
+
 // One pool per thread: simulation cells are single-threaded, so the
 // free lists (and the block refcounts) need no synchronization, and
 // parallel bench cells cannot perturb each other's recycling order.
 struct Pool {
   detail::SkbBlock* free_head[kNumClasses] = {};
   std::size_t cached_count[kNumClasses] = {};
+  void* free_views = nullptr;  ///< each node's first word links the next
+  std::size_t cached_views = 0;
   SkBuffStats stats;
 
   ~Pool() { trim(); }
@@ -58,86 +62,16 @@ struct Pool {
       }
       cached_count[k] = 0;
     }
+    while (free_views != nullptr) {
+      void* p = free_views;
+      free_views = *static_cast<void**>(p);
+      ::operator delete(p);
+    }
+    cached_views = 0;
   }
 };
 
 thread_local Pool g_pool;
-
-// --- View-node pool ----------------------------------------------------
-// alloc()/clone() create the SkBuff *view* (plus its shared_ptr control
-// block) with allocate_shared through this allocator, so the combined
-// node comes off a thread-local free list instead of the general heap.
-// Every node in a build has the same size (one allocate_shared
-// instantiation), so a handful of 64-byte-granular buckets suffice;
-// oversized requests fall through to operator new. Like the block pool,
-// this is single-threaded by the one-thread-per-cell invariant.
-
-constexpr std::size_t kViewGrain = 64;
-constexpr std::size_t kViewBuckets = 4;  // caches nodes up to 256 bytes
-constexpr std::size_t kMaxCachedViews = 1024;
-
-struct ViewPool {
-  void* head[kViewBuckets] = {};
-  std::size_t count[kViewBuckets] = {};
-
-  ~ViewPool() {
-    for (std::size_t k = 0; k < kViewBuckets; ++k) {
-      while (head[k] != nullptr) {
-        void* p = head[k];
-        head[k] = *static_cast<void**>(p);
-        ::operator delete(p);
-      }
-    }
-  }
-};
-
-thread_local ViewPool g_view_pool;
-
-void* view_node_acquire(std::size_t bytes) {
-  const std::size_t k = (bytes - 1) / kViewGrain;
-  if (k < kViewBuckets) {
-    ViewPool& vp = g_view_pool;
-    if (vp.head[k] != nullptr) {
-      void* p = vp.head[k];
-      vp.head[k] = *static_cast<void**>(p);
-      --vp.count[k];
-      return p;
-    }
-    return ::operator new((k + 1) * kViewGrain);
-  }
-  return ::operator new(bytes);
-}
-
-void view_node_release(void* p, std::size_t bytes) noexcept {
-  const std::size_t k = (bytes - 1) / kViewGrain;
-  ViewPool& vp = g_view_pool;
-  if (k < kViewBuckets && vp.count[k] < kMaxCachedViews) {
-    *static_cast<void**>(p) = vp.head[k];
-    vp.head[k] = p;
-    ++vp.count[k];
-    return;
-  }
-  ::operator delete(p);
-}
-
-template <typename T>
-struct ViewAlloc {
-  using value_type = T;
-  ViewAlloc() = default;
-  template <typename U>
-  ViewAlloc(const ViewAlloc<U>&) {}  // NOLINT: converting, as required
-
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(view_node_acquire(n * sizeof(T)));
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    view_node_release(p, n * sizeof(T));
-  }
-  template <typename U>
-  bool operator==(const ViewAlloc<U>&) const {
-    return true;
-  }
-};
 
 }  // namespace
 
@@ -204,17 +138,34 @@ std::size_t skbuff_pool_cached() {
 
 void skbuff_pool_trim() { g_pool.trim(); }
 
+void* SkBuff::operator new(std::size_t bytes) {
+  Pool& pool = g_pool;
+  void* p = pool.free_views;
+  if (p == nullptr) return ::operator new(bytes);
+  pool.free_views = *static_cast<void**>(p);
+  --pool.cached_views;
+  return p;
+}
+
+void SkBuff::operator delete(void* p) noexcept {
+  Pool& pool = g_pool;
+  if (pool.cached_views >= kMaxCachedViews) {
+    ::operator delete(p);
+    return;
+  }
+  *static_cast<void**>(p) = pool.free_views;
+  pool.free_views = p;
+  ++pool.cached_views;
+}
+
 SkBuffPtr SkBuff::alloc(std::size_t size, std::size_t headroom) {
-  return std::allocate_shared<SkBuff>(
-      ViewAlloc<SkBuff>{}, Private{},
-      detail::skb_block_acquire(size + headroom), headroom);
+  return SkBuffPtr{
+      new SkBuff(detail::skb_block_acquire(size + headroom), headroom)};
 }
 
 SkBuffPtr SkBuff::clone() const {
-  ++block_->refs;
   ++g_pool.stats.clones;
-  return std::allocate_shared<SkBuff>(ViewAlloc<SkBuff>{}, Private{}, *this,
-                                      block_);
+  return SkBuffPtr{new SkBuff(*this)};
 }
 
 void SkBuff::unshare() {

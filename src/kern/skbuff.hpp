@@ -4,22 +4,26 @@
 // byte-accounted FIFO queue type below it).
 //
 // Layout mirrors the kernel split between struct sk_buff (the cheap
-// per-reference view: data/len offsets plus metadata) and the shared
-// data area skb->head points at. clone() is O(1) — it shares the data
-// block exactly like skb_clone() shares skb->head — and any call that
-// can *write* through the buffer (push/put/mutable_bytes) performs the
-// skb_cow() dance first: if the block is shared it is copied before the
-// write. pull()/trim() only move this view's offsets and never copy,
-// matching skb_pull()/skb_trim() on a clone. Those three calls are the
-// only way to write (data() is read-only), which is what lets the block
-// memoize a verified checksum for all of its clones (checksum_ok()).
+// per-holder view: data/len offsets plus metadata) and the shared data
+// area skb->head points at. A view has exactly one owner: SkBuffPtr is
+// a std::unique_ptr, so a second holder of the same bytes must take its
+// own view from clone(), which is O(1) — it shares the data block
+// exactly like skb_clone() shares skb->head — and copying a SkBuffPtr
+// does not compile. Any call that can *write* through the buffer
+// (push/put/mutable_bytes) performs the skb_cow() dance first: if the
+// block is shared it is copied before the write. pull()/trim() only
+// move this view's offsets and never copy, matching skb_pull()/
+// skb_trim() on a clone. Those three calls are the only way to write
+// (data() is read-only), which is what lets the block memoize a
+// verified checksum for all of its clones (checksum_ok()).
 //
 // Data blocks come from a per-thread free-list pool bucketed by size
-// class, so steady-state packet traffic recycles blocks instead of
-// hitting the allocator. Block refcounts are deliberately non-atomic:
-// a block never crosses threads (each simulation cell — scheduler,
-// topology, sockets — lives entirely on one thread; see
-// harness::ParallelRunner).
+// class, and views from one more per-thread free list, so steady-state
+// packet traffic recycles both instead of hitting the allocator. Block
+// refcounts are deliberately non-atomic: a block never crosses threads
+// while shared (each simulation cell — scheduler, topology, sockets —
+// lives entirely on one thread; see harness::ParallelRunner, and the
+// sharded engine unshares a buffer before it leaves its domain).
 #pragma once
 
 #include <cstdint>
@@ -33,7 +37,7 @@
 namespace hrmc::kern {
 
 class SkBuff;
-using SkBuffPtr = std::shared_ptr<SkBuff>;
+using SkBuffPtr = std::unique_ptr<SkBuff>;
 
 /// Hot-path counters for this thread's buffer pool. Cheap enough to
 /// keep always-on; the bench harness resets them per workload and
@@ -66,7 +70,8 @@ void skbuff_peak_reset();
 /// Blocks currently cached in this thread's free lists.
 [[nodiscard]] std::size_t skbuff_pool_cached();
 
-/// Frees every cached block (tests; long-lived processes shedding memory).
+/// Frees every cached block and view (tests; long-lived processes
+/// shedding memory).
 void skbuff_pool_trim();
 
 namespace detail {
@@ -105,25 +110,11 @@ void skb_block_release(SkbBlock* b);
 ///
 ///   [ headroom | data ............ | tailroom ]
 ///              ^data()             ^data()+size()
-class SkBuff {
-  /// Gate for the public tag constructors below: only members can name
-  /// the tag, so only alloc()/clone() can create SkBuffs — but
-  /// std::allocate_shared (which must call a public constructor) works.
-  struct Private {
-    explicit Private() = default;
-  };
-
+class SkBuff final {
  public:
   /// Allocates a buffer able to hold `size` payload bytes plus
   /// `headroom` bytes of reserved space in front.
   static SkBuffPtr alloc(std::size_t size, std::size_t headroom = 64);
-
-  SkBuff(Private, detail::SkbBlock* block, std::size_t headroom)
-      : block_(block), head_(headroom), len_(0) {}
-  /// Clone constructor: shares the block (caller already bumped refs).
-  SkBuff(Private, const SkBuff& o, detail::SkbBlock* shared_block)
-      : saddr(o.saddr), daddr(o.daddr), protocol(o.protocol), ttl(o.ttl),
-        block_(shared_block), head_(o.head_), len_(o.len_) {}
 
   /// O(1) clone (Linux skb_clone): the returned buffer shares this
   /// one's data block and copies the view offsets and metadata. Used at
@@ -133,8 +124,13 @@ class SkBuff {
   [[nodiscard]] SkBuffPtr clone() const;
 
   ~SkBuff() { detail::skb_block_release(block_); }
-  SkBuff(const SkBuff&) = delete;
   SkBuff& operator=(const SkBuff&) = delete;
+
+  /// Views are recycled through a per-thread free list of
+  /// sizeof(SkBuff) nodes, so alloc() and clone() in steady state touch
+  /// no allocator.
+  static void* operator new(std::size_t bytes);
+  static void operator delete(void* p) noexcept;
 
   /// Payload view, read-only: bytes are written only through
   /// mutable_bytes(), push() or put(), which unshare the block and drop
@@ -213,6 +209,15 @@ class SkBuff {
   void prepare_write() {
     unshare();
     block_->csum_len = 0;
+  }
+
+  SkBuff(detail::SkbBlock* block, std::size_t headroom)
+      : block_(block), head_(headroom), len_(0) {}
+  /// The clone: shares the block, so only clone() may call it.
+  SkBuff(const SkBuff& o)
+      : saddr(o.saddr), daddr(o.daddr), protocol(o.protocol), ttl(o.ttl),
+        block_(o.block_), head_(o.head_), len_(o.len_) {
+    ++block_->refs;
   }
 
   detail::SkbBlock* block_;

@@ -15,9 +15,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 
+#include "kern/mem.hpp"
 #include "net/addr.hpp"
 #include "net/cpu.hpp"
 #include "net/nic.hpp"
@@ -129,14 +131,18 @@ class Host final : public PacketSink {
   [[nodiscard]] sim::Scheduler& scheduler() { return *sched_; }
   [[nodiscard]] Nic* nic() { return nic_; }
 
-  /// Cell-wide memory accountant, or nullptr (the default: allocation is
-  /// infallible, exactly as before the accountant existed). Protocol
-  /// code charges its buffer state against this host's addr() ledger.
-  void set_mem_accountant(kern::MemAccountant* mem) { mem_ = mem; }
-  [[nodiscard]] kern::MemAccountant* mem_accountant() const { return mem_; }
+  /// Gives this host its own ledger on the domain's memory accountant.
+  /// Without one (the default) allocation is infallible, exactly as
+  /// before the accountant existed. Protocol code charges its buffer
+  /// state to mem_ledger().
+  void set_mem_accountant(kern::MemAccountant& mem) {
+    ledger_ = std::make_unique<kern::MemLedger>(mem);
+  }
+  /// This host's ledger, or nullptr when it has none.
+  [[nodiscard]] kern::MemLedger* mem_ledger() { return ledger_.get(); }
 
  private:
-  kern::MemAccountant* mem_ = nullptr;
+  std::unique_ptr<kern::MemLedger> ledger_;
   sim::Scheduler* sched_;
   Cpu cpu_;
   std::string name_;

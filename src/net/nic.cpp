@@ -92,7 +92,7 @@ void Nic::deliver(kern::SkBuffPtr skb) {
   // always succeed (see kern::kMemRxReserveBytes): dropping the
   // feedback that frees memory would turn pressure into deadlock.
   if (mem_ != nullptr && skb->wire_size() > kern::kMemRxReserveBytes &&
-      !mem_->admit(mem_host_, skb->wire_size())) {
+      !mem_->admit(skb->wire_size())) {
     ++counters_.mem_drops;
     trace_.emit(trace::EventKind::kDrop, 0, 0, skb->wire_size(),
                 static_cast<std::uint32_t>(trace::DropReason::kNoMem));

@@ -32,7 +32,7 @@
 #include "trace/trace.hpp"
 
 namespace hrmc::kern {
-class MemAccountant;
+class MemLedger;
 }  // namespace hrmc::kern
 
 namespace hrmc::net {
@@ -161,14 +161,11 @@ class Nic final : public PacketSink {
   /// Attaches a trace sink reporting drops and tx-ring exhaustion.
   void set_trace(trace::TraceSink sink) { trace_ = sink; }
 
-  /// Memory-pressure admission on the receive path: when an accountant
-  /// is installed, every arriving packet models the driver's alloc_skb
-  /// against `host_key`'s ledger and is dropped (DropReason::kNoMem) on
+  /// Memory-pressure admission on the receive path: when a ledger is
+  /// installed, every arriving packet models the kernel's alloc_skb
+  /// against the host's ledger and is dropped (DropReason::kNoMem) on
   /// refusal — a loss the protocol's NAK path already recovers from.
-  void set_mem_admission(kern::MemAccountant* mem, std::uint32_t host_key) {
-    mem_ = mem;
-    mem_host_ = host_key;
-  }
+  void set_mem_admission(kern::MemLedger* ledger) { mem_ = ledger; }
 
   /// Folded end-state of every RNG this NIC owns (Bernoulli loss and
   /// wireless fade) — part of RunResult::rng_digest.
@@ -205,8 +202,7 @@ class Nic final : public PacketSink {
   bool tx_busy_ = false;
   bool link_up_ = true;
   std::optional<WirelessLoss> wireless_loss_;
-  kern::MemAccountant* mem_ = nullptr;
-  std::uint32_t mem_host_ = 0;
+  kern::MemLedger* mem_ = nullptr;
   std::int64_t burst_jiffy_ = -1;
   std::size_t burst_count_ = 0;
   std::size_t burst_prev_ = 0;

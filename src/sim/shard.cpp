@@ -45,11 +45,12 @@ ShardEngine::ShardEngine(std::size_t domains, SimTime lookahead)
 
 ShardEngine::~ShardEngine() = default;
 
-void ShardEngine::post(std::size_t src, std::size_t dst, SimTime when,
-                       std::size_t wire_bytes, std::function<void()> fn) {
+void ShardEngine::stage(std::size_t src, std::size_t dst, SimTime when,
+                        std::size_t wire_bytes,
+                        std::unique_ptr<detail::EventFn> fn) {
   if (!running_) {
     // Setup/teardown: single-threaded, no window in flight.
-    domains_[dst]->schedule_at(when, std::move(fn));
+    domains_[dst]->schedule_at(when, [fn = std::move(fn)] { (*fn)(); });
     return;
   }
   if (when < window_end_) {
@@ -82,7 +83,8 @@ void ShardEngine::flush_mailboxes() {
       for (Handoff& h : box) {
         ++stats_.handoffs;
         stats_.handoff_bytes += h.bytes;
-        domains_[dst]->schedule_at(h.when, std::move(h.fn));
+        domains_[dst]->schedule_at(h.when,
+                                   [fn = std::move(h.fn)] { (*fn)(); });
       }
       box.clear();
     }
@@ -227,12 +229,6 @@ std::uint64_t ShardEngine::run(const std::function<bool()>& done,
 std::uint64_t ShardEngine::executed() const {
   std::uint64_t total = 0;
   for (const auto& dom : domains_) total += dom->executed();
-  return total;
-}
-
-std::uint64_t ShardEngine::compactions() const {
-  std::uint64_t total = 0;
-  for (const auto& dom : domains_) total += dom->compactions();
   return total;
 }
 

@@ -52,6 +52,7 @@
 #include <exception>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/scheduler.hpp"
@@ -87,9 +88,16 @@ class ShardEngine {
   /// throws: a violation means the topology's cross-domain latency
   /// bound is wrong, and silently accepting it would corrupt causality.
   /// Outside run() (setup/teardown, single-threaded) it schedules
-  /// directly.
+  /// directly. `fn` may be move-only (it may own the packet it carries):
+  /// it is staged in a heap detail::EventFn that the barrier moves into
+  /// dst's queue.
+  template <typename F>
   void post(std::size_t src, std::size_t dst, SimTime when,
-            std::size_t wire_bytes, std::function<void()> fn);
+            std::size_t wire_bytes, F&& fn) {
+    auto staged = std::make_unique<detail::EventFn>();
+    staged->emplace(std::forward<F>(fn));
+    stage(src, dst, when, wire_bytes, std::move(staged));
+  }
 
   /// Stages `fn` to run serially at the next epoch barrier — for
   /// cross-domain state changes with no modeled latency (IGMP-style
@@ -109,16 +117,16 @@ class ShardEngine {
 
   /// Events executed, summed over domains.
   [[nodiscard]] std::uint64_t executed() const;
-  /// Tombstone sweeps, summed over domains.
-  [[nodiscard]] std::uint64_t compactions() const;
 
  private:
   struct Handoff {
     SimTime when = 0;
     std::uint32_t bytes = 0;
-    std::function<void()> fn;
+    std::unique_ptr<detail::EventFn> fn;
   };
 
+  void stage(std::size_t src, std::size_t dst, SimTime when,
+             std::size_t wire_bytes, std::unique_ptr<detail::EventFn> fn);
   void flush_mailboxes();
   void apply_controls();
   /// Runs `worker`'s home domains in `active_`, then steals the ones no

@@ -18,53 +18,58 @@ using harness::RunResult;
 using harness::Scenario;
 using kern::MemAccountant;
 using kern::MemComponent;
+using kern::MemLedger;
 
 // --- accountant unit semantics ---------------------------------------
 
 TEST(MemAccountant, BudgetRefusesAndLedgerNeverExceeds) {
   MemAccountant mem(1000, 7);
-  EXPECT_TRUE(mem.try_charge(1, MemComponent::kSendWindow, 600));
-  EXPECT_TRUE(mem.try_charge(1, MemComponent::kReassembly, 400));
+  MemLedger h1(mem);
+  MemLedger h2(mem);
+  EXPECT_TRUE(h1.try_charge(MemComponent::kSendWindow, 600));
+  EXPECT_TRUE(h1.try_charge(MemComponent::kReassembly, 400));
   // Exactly at the budget: the next byte is refused, nothing charged.
-  EXPECT_FALSE(mem.try_charge(1, MemComponent::kReassembly, 1));
-  EXPECT_EQ(mem.live(1), 1000u);
+  EXPECT_FALSE(h1.try_charge(MemComponent::kReassembly, 1));
+  EXPECT_EQ(h1.live(), 1000u);
   EXPECT_EQ(mem.counters().budget_denials, 1u);
   // Per-host ledgers are independent.
-  EXPECT_TRUE(mem.try_charge(2, MemComponent::kReassembly, 1000));
+  EXPECT_TRUE(h2.try_charge(MemComponent::kReassembly, 1000));
   EXPECT_EQ(mem.peak_any_host(), 1000u);
   // Uncharge frees exactly what it names, per component.
-  mem.uncharge(1, MemComponent::kSendWindow, 600);
-  EXPECT_EQ(mem.live(1), 400u);
-  EXPECT_EQ(mem.component(1, MemComponent::kReassembly), 400u);
-  EXPECT_TRUE(mem.try_charge(1, MemComponent::kFecData, 600));
+  h1.uncharge(MemComponent::kSendWindow, 600);
+  EXPECT_EQ(h1.live(), 400u);
+  EXPECT_EQ(h1.component(MemComponent::kReassembly), 400u);
+  EXPECT_TRUE(h1.try_charge(MemComponent::kFecData, 600));
   // The invariant bound: live never exceeded the budget at any point.
   EXPECT_LE(mem.peak_any_host(), 1000u);
 }
 
 TEST(MemAccountant, SqueezeLowersEffectiveBudgetAndReportsOverage) {
   MemAccountant mem(1000, 7);
-  ASSERT_TRUE(mem.try_charge(1, MemComponent::kFecParity, 800));
-  EXPECT_EQ(mem.overage(1), 0u);
+  MemLedger h1(mem);
+  ASSERT_TRUE(h1.try_charge(MemComponent::kFecParity, 800));
+  EXPECT_EQ(h1.overage(), 0u);
   mem.set_squeeze(0.5);
   EXPECT_EQ(mem.effective_budget(), 500u);
   // The squeeze pushes the ledger past the *effective* line without any
   // new charge; the consumer sees the overage and must evict it.
-  EXPECT_EQ(mem.overage(1), 300u);
-  EXPECT_FALSE(mem.try_charge(1, MemComponent::kFecParity, 1));
-  mem.uncharge(1, MemComponent::kFecParity, 300);
-  EXPECT_EQ(mem.overage(1), 0u);
+  EXPECT_EQ(h1.overage(), 300u);
+  EXPECT_FALSE(h1.try_charge(MemComponent::kFecParity, 1));
+  h1.uncharge(MemComponent::kFecParity, 300);
+  EXPECT_EQ(h1.overage(), 0u);
   mem.set_squeeze(0.0);
-  EXPECT_TRUE(mem.try_charge(1, MemComponent::kFecParity, 400));
+  EXPECT_TRUE(h1.try_charge(MemComponent::kFecParity, 400));
   // The full budget still held throughout the squeeze.
   EXPECT_LE(mem.peak_any_host(), 1000u);
 }
 
 TEST(MemAccountant, ZeroBudgetZeroProbRefusesNothingAndDrawsNothing) {
   MemAccountant mem(0, 7);
+  MemLedger h3(mem);
   const std::uint64_t digest0 = mem.rng_digest();
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_TRUE(mem.try_charge(3, MemComponent::kReassembly, 10000));
-    EXPECT_TRUE(mem.admit(3, 1 << 20));
+    EXPECT_TRUE(h3.try_charge(MemComponent::kReassembly, 10000));
+    EXPECT_TRUE(h3.admit(1 << 20));
   }
   EXPECT_EQ(mem.counters().alloc_fails, 0u);
   // The determinism contract: no fault window armed, no RNG consumed.
@@ -74,9 +79,10 @@ TEST(MemAccountant, ZeroBudgetZeroProbRefusesNothingAndDrawsNothing) {
 TEST(MemAccountant, AllocFailProbIsSeededAndDeterministic) {
   const auto refusals = [] {
     MemAccountant mem(0, 99);
+    MemLedger h5(mem);
     mem.set_alloc_fail_prob(0.3);
     std::uint64_t n = 0;
-    for (int i = 0; i < 1000; ++i) n += mem.admit(5, 100) ? 0 : 1;
+    for (int i = 0; i < 1000; ++i) n += h5.admit(100) ? 0 : 1;
     return n;
   };
   const std::uint64_t a = refusals();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <type_traits>
 #include <vector>
 
 #include "hrmc/wire.hpp"
@@ -185,6 +186,13 @@ TEST(SkBuff, SharedBlockReleasesOnlyWhenLastViewDies) {
   EXPECT_EQ(skbuff_pool_cached(), 0u);  // copy still holds the block
   copy.reset();
   EXPECT_EQ(skbuff_pool_cached(), 1u);
+}
+
+TEST(SkBuff, OneOwnerPerView) {
+  // A second holder of a view takes its own from clone(): the pointer
+  // itself cannot be copied, and it carries no control block.
+  EXPECT_FALSE(std::is_copy_constructible_v<SkBuffPtr>);
+  EXPECT_EQ(sizeof(SkBuffPtr), sizeof(void*));
 }
 
 TEST(SkBuff, WireSizeAddsFraming) {

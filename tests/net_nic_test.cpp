@@ -147,7 +147,8 @@ TEST(Nic, RxAccountingClosesUnderLoss) {
   // A budget below one full-size frame: every 1250-byte frame is
   // refused, while control-sized frames pass from the rx reserve.
   kern::MemAccountant mem(1000, 3);
-  nic.set_mem_admission(&mem, 1);
+  kern::MemLedger ledger(mem);
+  nic.set_mem_admission(&ledger);
 
   for (int i = 0; i < 1000; ++i) {
     nic.deliver(make_packet(i % 2 == 0 ? 100 : 1212));
