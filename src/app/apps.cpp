@@ -70,7 +70,6 @@ SinkApp::SinkApp(proto::HrmcReceiver& sock, sim::Scheduler& sched,
   if (opt_.disk) {
     disk_.emplace(*opt_.disk, sim::substream_seed(opt_.seed, "sink-disk"));
   }
-  buf_ = std::make_unique_for_overwrite<std::uint8_t[]>(opt_.chunk);
   sock_.on_readable = [this] { maybe_read(); };
   sock_.on_complete = [this] {
     if (complete_at_ < 0 && on_stream_complete) on_stream_complete();
@@ -85,19 +84,24 @@ void SinkApp::maybe_read() {
   do_read();
 }
 
-void SinkApp::do_read() {
-  const std::size_t n = sock_.recv(std::span(buf_.get(), opt_.chunk));
-  if (n > 0) {
-    if (opt_.verify) {
-      const std::size_t ok =
-          pattern_verify(std::span<const std::uint8_t>(buf_.get(), n),
-                         offset_);
-      // A stream that skipped bytes (RMC NAK_ERR) is expected to fail
-      // verification; don't double-report in that case.
-      if (ok != n && !sock_.stream_error()) verify_failed_ = true;
-    }
-    offset_ += n;
+void SinkApp::verify(const kern::SkBuff& view, std::size_t n) {
+  if (view.pattern_memo_hit(n, offset_)) return;
+  if (pattern_verify({view.data(), n}, offset_) == n) {
+    view.pattern_memo_set(n, offset_);
+  } else if (!sock_.stream_error()) {
+    // A stream that skipped bytes (RMC NAK_ERR) is expected to fail
+    // verification; don't double-report in that case.
+    verify_failed_ = true;
+  }
+}
 
+void SinkApp::do_read() {
+  const std::size_t n = sock_.consume(
+      opt_.chunk, [this](const kern::SkBuff& view, std::size_t take) {
+        if (opt_.verify) verify(view, take);
+        offset_ += take;
+      });
+  if (n > 0) {
     // Model the cost of consuming these bytes (app read rate and/or disk
     // write), then continue reading.
     sim::SimTime delay = 0;

@@ -62,6 +62,10 @@ class SourceApp {
 };
 
 /// Receiving application: drains an HrmcReceiver, verifying the pattern.
+/// It reads the queued packet views in place (HrmcReceiver::consume), up
+/// to `chunk` bytes per read, and skips the compare for bytes the
+/// block's pattern memo already vouches for at the same stream offset,
+/// so the clones of one fanned-out block are compared once.
 /// `read_rate_bps` caps how fast the application consumes (0 = unlimited)
 /// — the paper's observation that the application read rate does not
 /// scale with network speed is what produces the extra rate requests on
@@ -103,15 +107,15 @@ class SinkApp {
  private:
   void maybe_read();
   void do_read();
+  /// Checks the first `n` bytes of `view`, which sit at offset_.
+  void verify(const kern::SkBuff& view, std::size_t n);
 
   proto::HrmcReceiver& sock_;
   sim::Scheduler& sched_;
   Options opt_;
   std::optional<DiskModel> disk_;
 
-  /// opt_.chunk bytes, left uninitialized: recv writes what is read.
-  std::unique_ptr<std::uint8_t[]> buf_;
-  std::uint64_t offset_ = 0;
+  std::uint64_t offset_ = 0;  ///< stream bytes read so far
   bool reading_ = false;
   bool finished_ = false;
   bool verify_failed_ = false;

@@ -251,9 +251,7 @@ std::size_t MiniTcpReceiver::recv(std::span<std::uint8_t> out) {
     if (take == front->size()) {
       receive_queue_.pop_front();
     } else {
-      kern::SkBuffPtr seg = receive_queue_.pop_front();
-      seg->pull(take);
-      receive_queue_.push_front(std::move(seg));
+      receive_queue_.pull_front(take);
     }
   }
   stats_.bytes_delivered += copied;

@@ -197,10 +197,11 @@ void ModeledReceiver::process_data(const Header& h) {
     if (changed) {
       std::erase_if(holes_,
                     [](const Hole& hole) { return hole.leaves_missing == 0; });
-      maybe_complete();
     } else {
       stats_.duplicate_packets++;
     }
+    // A FIN first seen on a duplicate completes the stream too.
+    maybe_complete();
     return;
   }
 

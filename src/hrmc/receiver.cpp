@@ -180,26 +180,11 @@ void HrmcReceiver::restart() {
 // --------------------------------------------------------------------
 
 std::size_t HrmcReceiver::recv(std::span<std::uint8_t> out) {
-  std::size_t copied = 0;
-  while (copied < out.size() && !receive_queue_.empty()) {
-    const kern::SkBuffPtr& front = receive_queue_.front();
-    const std::size_t take =
-        std::min(out.size() - copied, front->size());
-    std::memcpy(out.data() + copied, front->data(), take);
-    copied += take;
-    if (take == front->size()) {
-      receive_queue_.pop_front();
-    } else {
-      // Partial read: consume from the front of the segment. Adjust the
-      // queue's byte accounting by re-inserting the trimmed buffer.
-      kern::SkBuffPtr seg = receive_queue_.pop_front();
-      seg->pull(take);
-      receive_queue_.push_front(std::move(seg));
-    }
-  }
-  rcv_wnd_ += static_cast<Seq>(copied);
-  stats_.bytes_delivered += copied;
-  return copied;
+  std::uint8_t* to = out.data();
+  return consume(out.size(), [&to](const kern::SkBuff& view, std::size_t n) {
+    std::memcpy(to, view.data(), n);
+    to += n;
+  });
 }
 
 // --------------------------------------------------------------------

@@ -13,7 +13,8 @@
 //  - Update Generator (update_timer, H-RMC mode only): periodic UPDATEs
 //    carrying the highest in-order sequence; the period adapts ±1 jiffy
 //    per period based on whether a PROBE arrived (§3).
-//  - Application Interface (hrmc_recvmsg): copies in-order bytes out.
+//  - Application Interface (hrmc_recvmsg): hands in-order bytes to the
+//    application, in place (consume) or copied out (recv).
 //
 // (The driver's Backlog Queue exists to park packets while the socket is
 // locked by a concurrent syscall; the simulation is single-threaded per
@@ -94,7 +95,33 @@ class HrmcReceiver final : public net::Transport {
   /// Copies up to out.size() in-order bytes to the application.
   std::size_t recv(std::span<std::uint8_t> out);
 
-  /// In-order bytes ready for recv().
+  /// Hands up to `max` in-order bytes to the application in place:
+  /// calls visit(view, n) for each queued view in order, where the first
+  /// n bytes of `view` are taken (n < view.size() only for a view the
+  /// call splits). The view is read-only and lives until visit returns.
+  /// Takes exactly the bytes recv() takes for a buffer of `max` bytes,
+  /// and moves the window, the stats and the queue the same way; recv()
+  /// is a copying visitor over it.
+  template <class Visit>
+  std::size_t consume(std::size_t max, Visit&& visit) {
+    std::size_t taken = 0;
+    while (taken < max && !receive_queue_.empty()) {
+      const kern::SkBuff& front = *receive_queue_.front();
+      const std::size_t take = std::min(max - taken, front.size());
+      visit(front, take);
+      taken += take;
+      if (take == front.size()) {
+        receive_queue_.pop_front();
+      } else {
+        receive_queue_.pull_front(take);  // partial read
+      }
+    }
+    rcv_wnd_ += static_cast<kern::Seq>(taken);
+    stats_.bytes_delivered += taken;
+    return taken;
+  }
+
+  /// In-order bytes ready for recv() or consume().
   [[nodiscard]] std::size_t available() const {
     return receive_queue_.bytes();
   }

@@ -98,6 +98,7 @@ SkbBlock* skb_block_acquire(std::size_t cap) {
   b->cap = cap;
   b->next_free = nullptr;
   b->csum_len = 0;
+  b->pat_len = 0;
   pool.stats.live_bytes += cap;
   if (pool.stats.live_bytes > pool.stats.peak_bytes) {
     pool.stats.peak_bytes = pool.stats.live_bytes;
@@ -191,6 +192,24 @@ bool SkBuff::checksum_ok() const {
   return true;
 }
 
+bool SkBuff::pattern_memo_hit(std::size_t n, std::uint64_t offset) const {
+  const detail::SkbBlock& b = *block_;
+  if (b.pat_len == 0 || head_ < b.pat_head ||
+      head_ + n > b.pat_head + b.pat_len ||
+      b.pat_offset + (head_ - b.pat_head) != offset) {
+    return false;
+  }
+  ++g_pool.stats.pattern_cached;
+  return true;
+}
+
+void SkBuff::pattern_memo_set(std::size_t n, std::uint64_t offset) const {
+  detail::SkbBlock& b = *block_;
+  b.pat_head = head_;
+  b.pat_len = n;
+  b.pat_offset = offset;
+}
+
 std::uint8_t* SkBuff::push(std::size_t n) {
   if (n > head_) throw std::logic_error("SkBuff::push: headroom exhausted");
   prepare_write();
@@ -235,6 +254,11 @@ SkBuffPtr SkBuffQueue::pop_front() {
   items_.pop_front();
   bytes_ -= skb->size();
   return skb;
+}
+
+void SkBuffQueue::pull_front(std::size_t n) {
+  items_.front()->pull(n);
+  bytes_ -= n;
 }
 
 void SkBuffQueue::clear() {

@@ -15,7 +15,8 @@
 // move this view's offsets and never copy, matching skb_pull()/
 // skb_trim() on a clone. Those three calls are the only way to write
 // (data() is read-only), which is what lets the block memoize a
-// verified checksum for all of its clones (checksum_ok()).
+// verified checksum (checksum_ok()) and a verified stream pattern
+// (pattern_memo_hit()) for all of its clones.
 //
 // Data blocks come from a per-thread free-list pool bucketed by size
 // class, and views from one more per-thread free list, so steady-state
@@ -49,6 +50,7 @@ struct SkBuffStats {
   std::uint64_t cow_copies = 0;    ///< writes that had to unshare a block
   std::uint64_t csum_bytes = 0;    ///< bytes summed by SkBuff::checksum_ok
   std::uint64_t csum_cached = 0;   ///< checksum_ok calls answered by the memo
+  std::uint64_t pattern_cached = 0;  ///< pattern checks answered by the memo
   // Live/peak gauges over *requested* block bytes (acquire adds cap,
   // the final release subtracts it — clones share, so a fan-out of N
   // views counts its block once). Reset zeroes both, so peak_bytes is
@@ -90,6 +92,13 @@ struct alignas(std::max_align_t) SkbBlock {
   /// every write path clear it (see SkBuff::checksum_ok).
   std::size_t csum_head = 0;
   std::size_t csum_len = 0;
+  /// Pattern memo: bytes [pat_head, pat_head + pat_len) matched the
+  /// application's stream pattern at stream offset pat_offset onwards.
+  /// pat_len == 0 means none; the writers that clear the checksum memo
+  /// clear this one too (see SkBuff::pattern_memo_hit).
+  std::size_t pat_head = 0;
+  std::size_t pat_len = 0;
+  std::uint64_t pat_offset = 0;
 
   [[nodiscard]] std::uint8_t* bytes() {
     return reinterpret_cast<std::uint8_t*>(this + 1);
@@ -134,7 +143,7 @@ class SkBuff final {
 
   /// Payload view, read-only: bytes are written only through
   /// mutable_bytes(), push() or put(), which unshare the block and drop
-  /// its checksum memo first.
+  /// its memos first.
   [[nodiscard]] const std::uint8_t* data() const {
     return block_->bytes() + head_;
   }
@@ -156,6 +165,19 @@ class SkBuff final {
   /// sum their common block once. Failures are never memoized, and the
   /// memo is cleared whenever the block is acquired or written.
   [[nodiscard]] bool checksum_ok() const;
+
+  /// The pattern memo, the application's twin of the checksum memo:
+  /// true if a compare recorded on this block (through any of its views)
+  /// covers the first `n` bytes of this view at stream offset `offset`,
+  /// that is, the same bytes at the same offset. A hit counts
+  /// pattern_cached. The memo is cleared with the checksum memo.
+  [[nodiscard]] bool pattern_memo_hit(std::size_t n,
+                                      std::uint64_t offset) const;
+
+  /// Records that the first `n` bytes of this view matched the pattern
+  /// at stream offset `offset`, replacing the block's previous record.
+  /// Call it only after a compare that succeeded.
+  void pattern_memo_set(std::size_t n, std::uint64_t offset) const;
 
   [[nodiscard]] std::size_t headroom() const { return head_; }
   [[nodiscard]] std::size_t tailroom() const {
@@ -205,10 +227,11 @@ class SkBuff final {
 
  private:
   /// Every write path starts here: copy a shared block (skb_cow) and
-  /// drop the checksum memo of the block about to be written.
+  /// drop both memos of the block about to be written.
   void prepare_write() {
     unshare();
     block_->csum_len = 0;
+    block_->pat_len = 0;
   }
 
   SkBuff(detail::SkbBlock* block, std::size_t headroom)
@@ -234,6 +257,10 @@ class SkBuffQueue {
 
   /// Pops the front buffer; returns nullptr if empty.
   SkBuffPtr pop_front();
+
+  /// Removes `n` bytes from the front of the front buffer (a partial
+  /// read) and from the byte count; the queue must not be empty.
+  void pull_front(std::size_t n);
 
   [[nodiscard]] const SkBuffPtr& front() const { return items_.front(); }
   [[nodiscard]] bool empty() const { return items_.empty(); }

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "app/disk.hpp"
 #include "app/pattern.hpp"
+#include "hrmc/wire.hpp"
+#include "kern/skbuff.hpp"
 #include "net/topology.hpp"
 
 namespace hrmc::app {
@@ -236,6 +243,121 @@ TEST_F(AppsTest, DiskSourceIsSlowerThanMemory) {
   const auto mem_time = run_once(false);
   const auto disk_time = run_once(true);
   EXPECT_GT(disk_time, mem_time);
+}
+
+/// Verifying sinks on the receivers of one ten-host group. The tests
+/// either send through the network, whose group router fans out clones
+/// of one block, or hand each receiver its view directly (rx), choosing
+/// which views share a block and in what order the sinks read them.
+class SinkMemoTest : public ::testing::Test {
+ protected:
+  SinkMemoTest() {
+    net::TopologyConfig tcfg;
+    tcfg.seed = 6;
+    tcfg.groups = {net::group_a(10)};
+    tcfg.groups[0].loss_rate = 0.0;
+    topo_ = std::make_unique<net::Topology>(sched_, tcfg);
+  }
+
+  /// Opens a receiver on the next host, drained by a verifying sink
+  /// that reads whatever is ready at once.
+  void add_sink(const proto::Config& cfg = proto::Config{}) {
+    const int i = static_cast<int>(rcv_.size());
+    rcv_.push_back(std::make_unique<proto::HrmcReceiver>(
+        topo_->receiver(i), cfg, kSession, topo_->sender().addr()));
+    sink_.push_back(
+        std::make_unique<SinkApp>(*rcv_.back(), sched_, SinkApp::Options{}));
+    rcv_.back()->open();
+  }
+
+  /// DATA for sequence [seq, seq + len) carrying the pattern from stream
+  /// offset `base`.
+  kern::SkBuffPtr data(kern::Seq seq, std::uint32_t len, std::uint64_t base) {
+    auto skb = kern::SkBuff::alloc(len, proto::Header::kSize + 44);
+    pattern_fill({skb->put(len), len}, base);
+    proto::Header h;
+    h.sport = kSession.port;
+    h.dport = kSession.port;
+    h.seq = seq;
+    h.rate = 1'000'000;
+    h.length = len;
+    h.tries = 1;
+    h.type = proto::PacketType::kData;
+    proto::write_header(*skb, h);
+    skb->saddr = topo_->sender().addr();
+    skb->daddr = kSession.addr;
+    skb->protocol = proto::kIpProtoHrmc;
+    return skb;
+  }
+
+  /// Swaps payload bytes `at` and `at + 2` through mutable_bytes(). The
+  /// Internet checksum sums 16-bit words, so the header still verifies
+  /// and only the pattern can tell; no other write follows the swap.
+  static kern::SkBuffPtr corrupted(kern::SkBuffPtr skb, std::size_t at) {
+    const std::span<std::uint8_t> b = skb->mutable_bytes();
+    std::swap(b[proto::Header::kSize + at], b[proto::Header::kSize + at + 2]);
+    return skb;
+  }
+
+  static constexpr net::Endpoint kSession{net::make_addr(224, 7, 7, 7), 7500};
+  sim::Scheduler sched_;
+  std::unique_ptr<net::Topology> topo_;
+  std::vector<std::unique_ptr<proto::HrmcReceiver>> rcv_;
+  std::vector<std::unique_ptr<SinkApp>> sink_;
+};
+
+TEST_F(SinkMemoTest, TenWayFanOutComparesOnce) {
+  for (int i = 0; i < 10; ++i) add_sink();
+  sched_.run_until(sim::milliseconds(50));
+  kern::skbuff_stats_reset();
+  topo_->sender().send(data(proto::Config::kInitialSeq, 1000, 0));
+  sched_.run_until(sim::milliseconds(100));
+  for (const auto& s : sink_) {
+    EXPECT_EQ(s->bytes_read(), 1000u);
+    EXPECT_FALSE(s->verify_failed());
+  }
+  EXPECT_EQ(kern::skbuff_stats().pattern_cached, 9u);
+  EXPECT_EQ(kern::skbuff_stats().cow_copies, 0u);
+}
+
+TEST_F(SinkMemoTest, CorruptedViewFailsOnlyTheSinkThatReadIt) {
+  for (int i = 0; i < 4; ++i) add_sink();
+  auto pkt = data(proto::Config::kInitialSeq, 1000, 0);
+  kern::skbuff_stats_reset();
+  rcv_[0]->rx(pkt->clone());  // compared, and recorded on the block
+  // Sink 1's view leaves the shared block before its bytes change.
+  rcv_[1]->rx(corrupted(pkt->clone(), 100));
+  EXPECT_EQ(kern::skbuff_stats().cow_copies, 1u);
+  rcv_[2]->rx(pkt->clone());  // answered by the memo
+  EXPECT_EQ(kern::skbuff_stats().pattern_cached, 1u);
+  // The recorded block's last view, written in place: the write drops
+  // the memo, so sink 3 compares and fails.
+  ASSERT_FALSE(pkt->shared());
+  rcv_[3]->rx(corrupted(std::move(pkt), 200));
+  EXPECT_EQ(kern::skbuff_stats().cow_copies, 1u);
+  EXPECT_EQ(kern::skbuff_stats().pattern_cached, 1u);
+
+  EXPECT_FALSE(sink_[0]->verify_failed());
+  EXPECT_TRUE(sink_[1]->verify_failed());
+  EXPECT_FALSE(sink_[2]->verify_failed());
+  EXPECT_TRUE(sink_[3]->verify_failed());
+  for (const auto& s : sink_) EXPECT_EQ(s->bytes_read(), 1000u);
+}
+
+TEST_F(SinkMemoTest, SameBlockAtAnotherStreamOffsetIsCompared) {
+  add_sink();
+  proto::Config shifted;
+  shifted.initial_seq = proto::Config::kInitialSeq - 100;
+  add_sink(shifted);
+  rcv_[1]->rx(data(shifted.initial_seq, 100, 0));
+  auto pkt = data(proto::Config::kInitialSeq, 1000, 0);
+  kern::skbuff_stats_reset();
+  rcv_[0]->rx(pkt->clone());   // stream offset 0 for sink 0
+  rcv_[1]->rx(std::move(pkt));  // the same bytes at offset 100 for sink 1
+  EXPECT_EQ(kern::skbuff_stats().pattern_cached, 0u);
+  EXPECT_FALSE(sink_[0]->verify_failed());
+  EXPECT_TRUE(sink_[1]->verify_failed());
+  EXPECT_EQ(sink_[1]->bytes_read(), 1100u);
 }
 
 }  // namespace

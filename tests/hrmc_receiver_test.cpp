@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "app/pattern.hpp"
+#include "hrmc/modeled.hpp"
 #include "net/topology.hpp"
 
 namespace hrmc::proto {
@@ -34,10 +38,10 @@ struct CaptureTransport final : net::Transport {
 
 class ReceiverTest : public ::testing::Test {
  protected:
-  ReceiverTest() {
+  explicit ReceiverTest(int receivers = 1) {
     net::TopologyConfig tcfg;
     tcfg.seed = 3;
-    tcfg.groups = {net::group_a(1)};
+    tcfg.groups = {net::group_a(receivers)};
     tcfg.groups[0].loss_rate = 0.0;
     topo_ = std::make_unique<net::Topology>(sched_, tcfg);
     topo_->sender().register_transport(kIpProtoHrmc, &at_sender_);
@@ -428,6 +432,137 @@ TEST_F(ReceiverTest, CorruptPacketCounted) {
   run_for(sim::milliseconds(50));
   EXPECT_EQ(rcv_->stats().bad_packets, 1u);
   EXPECT_EQ(rcv_->stats().data_packets_received, 0u);
+}
+
+TEST_F(ReceiverTest, ModeledFinOnDuplicateRetransmissionCompletes) {
+  // A population whose FIN first arrives on a retransmission at or below
+  // its high water, after NAK_ERR removed the only hole: the duplicate
+  // completes the stream, so on_complete fires and the final AGG_UPDATE
+  // goes out.
+  ModeledReceiver pop(topo_->receiver(0), Config{}, net::Endpoint{kGroup, kPort},
+                      /*population=*/100, /*leaf_loss=*/0.0,
+                      topo_->sender().addr());
+  int completions = 0;
+  pop.on_complete = [&completions] { ++completions; };
+  pop.open();
+  run_for(sim::milliseconds(50));
+
+  send_data(Config::kInitialSeq, 1000);
+  run_for(sim::milliseconds(10));
+  inject(PacketType::kProbe, Config::kInitialSeq + 3000, 0);  // hole [1000, 3000)
+  run_for(sim::milliseconds(10));
+  inject(PacketType::kNakErr, Config::kInitialSeq + 1000, 2000);
+  run_for(sim::milliseconds(10));
+  EXPECT_FALSE(pop.complete());
+  const std::size_t aggs = at_sender_.of_type(PacketType::kAggUpdate).size();
+
+  send_data(Config::kInitialSeq + 2000, 1000, /*fin=*/true);
+  run_for(sim::milliseconds(10));
+  EXPECT_TRUE(pop.complete());
+  EXPECT_EQ(pop.stats().duplicate_packets, 1u);
+  EXPECT_EQ(completions, 1);
+  EXPECT_EQ(at_sender_.of_type(PacketType::kAggUpdate).size(), aggs + 1);
+  pop.stop();
+}
+
+class TwoReceiverTest : public ReceiverTest {
+ protected:
+  TwoReceiverTest() : ReceiverTest(2) {}
+};
+
+TEST_F(TwoReceiverTest, ConsumeTakesWhatRecvCopies) {
+  // Both receivers hear one script of in-order, held-back (out-of-order),
+  // duplicate and overlapping DATA. One is drained with recv(), the other
+  // with consume(), at the same random read sizes: each call must take the
+  // same bytes and leave the two receivers in the same state.
+  Config cfg;
+  cfg.rcvbuf = 1024 * 1024;
+  HrmcReceiver copier(topo_->receiver(0), cfg, net::Endpoint{kGroup, kPort},
+                      topo_->sender().addr());
+  HrmcReceiver reader(topo_->receiver(1), cfg, net::Endpoint{kGroup, kPort},
+                      topo_->sender().addr());
+  copier.open();
+  reader.open();
+  run_for(sim::milliseconds(50));
+
+  sim::Rng rng(20261020);
+  constexpr std::uint32_t kStream = 512 * 1024;
+  std::uint64_t offset = 0;
+  int split_reads = 0;     // calls that left part of a view queued
+  int spanning_reads = 0;  // calls that took three views or more
+  auto read_both = [&](std::size_t max) {
+    std::vector<std::uint8_t> copied(max);
+    const std::size_t n = copier.recv(copied);
+    std::vector<std::uint8_t> seen;
+    int views = 0;
+    bool split = false;
+    const std::size_t m =
+        reader.consume(max, [&](const kern::SkBuff& view, std::size_t take) {
+          seen.insert(seen.end(), view.data(), view.data() + take);
+          ++views;
+          split = take < view.size();
+        });
+    ASSERT_EQ(n, m);
+    ASSERT_EQ(seen.size(), m);
+    ASSERT_TRUE(std::equal(seen.begin(), seen.end(), copied.begin()));
+    ASSERT_EQ(copier.rcv_wnd(), reader.rcv_wnd());
+    ASSERT_EQ(copier.available(), reader.available());
+    ASSERT_EQ(copier.stats().bytes_delivered, reader.stats().bytes_delivered);
+    ASSERT_EQ(app::pattern_verify({copied.data(), n}, offset), n);
+    offset += n;
+    if (split) ++split_reads;
+    if (views >= 3) ++spanning_reads;
+  };
+  auto random_read = [&] {
+    // Log-uniform over [1 B, 64 KiB): many reads split a segment, and
+    // the larger ones span many.
+    read_both(static_cast<std::size_t>(
+        std::exp(rng.uniform(0.0, std::log(65536.0)))));
+  };
+  auto send = [&](std::uint32_t begin, std::uint32_t end) {
+    send_data(Config::kInitialSeq + begin, end - begin, end == kStream);
+  };
+
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> held;
+  std::uint32_t prev_begin = 0;
+  int sent = 0;
+  for (std::uint32_t begin = 0; begin < kStream;) {
+    const std::uint32_t end = std::min<std::uint32_t>(
+        kStream, begin + static_cast<std::uint32_t>(rng.uniform_int(1, 1460)));
+    if (rng.next_double() < 0.1) {
+      held.emplace_back(begin, end);
+    } else {
+      send(begin, end);
+    }
+    if (rng.next_double() < 0.05) send(begin, end);       // duplicate
+    if (rng.next_double() < 0.05) send(prev_begin, end);  // overlap
+    prev_begin = begin;
+    begin = end;
+    if (++sent % 8 == 0 || begin == kStream) {
+      for (auto it = held.rbegin(); it != held.rend(); ++it) {
+        send(it->first, it->second);
+      }
+      held.clear();
+      run_for(sim::milliseconds(20));
+      for (auto reads = rng.uniform_int(0, 3); reads > 0; --reads) {
+        random_read();
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+  run_for(sim::milliseconds(50));
+  while (copier.available() > 0 || reader.available() > 0) {
+    random_read();
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(offset, kStream);
+  EXPECT_TRUE(copier.eof());
+  EXPECT_TRUE(reader.eof());
+  EXPECT_EQ(copier.stats(), reader.stats());
+  EXPECT_GT(split_reads, 20);
+  EXPECT_GT(spanning_reads, 20);
+  copier.stop();
+  reader.stop();
 }
 
 }  // namespace

@@ -290,6 +290,104 @@ TEST(SkBuffChecksum, RecycledBlockStartsUnchecked) {
   EXPECT_FALSE(bad_clone->checksum_ok());
 }
 
+TEST(SkBuffPatternMemo, ClonesAndSplitViewsHitAtTheirOwnOffset) {
+  // One record vouches for every clone of the view, and for the pieces a
+  // partial read splits it into, each at its own stream offset.
+  auto pkt = checksummed_packet(1000);
+  pkt->pull(proto::Header::kSize);
+  skbuff_stats_reset();
+  EXPECT_FALSE(pkt->pattern_memo_hit(1000, 5000));
+  pkt->pattern_memo_set(1000, 5000);
+  auto c = pkt->clone();
+  EXPECT_TRUE(c->pattern_memo_hit(1000, 5000));
+  EXPECT_TRUE(c->pattern_memo_hit(300, 5000));
+  c->pull(300);
+  EXPECT_TRUE(c->pattern_memo_hit(700, 5300));
+  EXPECT_EQ(skbuff_stats().pattern_cached, 3u);
+}
+
+TEST(SkBuffPatternMemo, ShiftedOffsetOrBytesOutsideTheRecordMiss) {
+  auto pkt = checksummed_packet(1000);
+  pkt->pull(proto::Header::kSize);
+  auto c = pkt->clone();
+  c->pull(100);
+  c->trim(500);
+  c->pattern_memo_set(500, 5100);  // block bytes [100, 600) of the payload
+  skbuff_stats_reset();
+  EXPECT_FALSE(c->pattern_memo_hit(500, 5101));
+  EXPECT_FALSE(c->pattern_memo_hit(500, 5099));
+  EXPECT_FALSE(c->pattern_memo_hit(500, 5100 + (std::uint64_t{1} << 32)));
+  EXPECT_FALSE(pkt->pattern_memo_hit(1000, 5000));  // starts before it
+  EXPECT_FALSE(pkt->pattern_memo_hit(600, 5000));
+  pkt->pull(100);
+  EXPECT_TRUE(pkt->pattern_memo_hit(500, 5100));
+  EXPECT_FALSE(pkt->pattern_memo_hit(501, 5100));   // ends after it
+  pkt->pull(1);
+  EXPECT_FALSE(pkt->pattern_memo_hit(499, 5100));   // same offset, later bytes
+  EXPECT_TRUE(pkt->pattern_memo_hit(499, 5101));
+  EXPECT_EQ(skbuff_stats().pattern_cached, 2u);
+}
+
+TEST(SkBuffPatternMemo, PushPutAndMutableBytesDropIt) {
+  auto skb = checksummed_packet(200);
+  const std::size_t len = skb->size();
+  // Each write is undone by pull/trim, so the view is the recorded one
+  // again: only a dropped memo explains a miss.
+  skb->pattern_memo_set(len, 7);
+  skb->push(2);
+  skb->pull(2);
+  EXPECT_FALSE(skb->pattern_memo_hit(len, 7));
+  skb->pattern_memo_set(len, 7);
+  skb->put(2);
+  skb->trim(len);
+  EXPECT_FALSE(skb->pattern_memo_hit(len, 7));
+  skb->pattern_memo_set(len, 7);
+  ASSERT_FALSE(skb->shared());
+  (void)skb->mutable_bytes();  // in place: no copy
+  EXPECT_FALSE(skb->pattern_memo_hit(len, 7));
+
+  // A shared block: the writer's copy starts without a record, and its
+  // siblings keep theirs.
+  skb->pattern_memo_set(len, 7);
+  auto sibling = skb->clone();
+  (void)skb->mutable_bytes();
+  EXPECT_FALSE(skb->pattern_memo_hit(len, 7));
+  EXPECT_TRUE(sibling->pattern_memo_hit(len, 7));
+}
+
+TEST(SkBuffPatternMemo, RecycledBlockStartsWithoutOne) {
+  skbuff_pool_trim();
+  // A shared packet, allocated first so that it cannot take the block
+  // recycled below.
+  auto other = checksummed_packet(200);
+  auto other_clone = other->clone();
+  const std::uint8_t* recycled = nullptr;
+  {
+    auto done = checksummed_packet(200);  // same size class and view
+    done->pattern_memo_set(done->size(), 0);
+    recycled = done->data() - done->headroom();
+  }
+  // unshare() takes done's block from the pool and writes no byte
+  // through push/put/mutable_bytes: only acquisition can clear the memo.
+  skbuff_stats_reset();
+  other_clone->unshare();
+  EXPECT_EQ(skbuff_stats().pool_hits, 1u);
+  EXPECT_EQ(other_clone->data() - other_clone->headroom(), recycled);
+  EXPECT_FALSE(other_clone->pattern_memo_hit(other_clone->size(), 0));
+}
+
+TEST(SkBuffQueue, PullFrontKeepsTheByteCount) {
+  SkBuffQueue q;
+  auto a = SkBuff::alloc(10); a->put(6);
+  auto b = SkBuff::alloc(10); b->put(4);
+  q.push_back(std::move(a));
+  q.push_back(std::move(b));
+  q.pull_front(2);
+  EXPECT_EQ(q.packets(), 2u);
+  EXPECT_EQ(q.front()->size(), 4u);
+  EXPECT_EQ(q.bytes(), 8u);
+}
+
 TEST(SkBuffQueue, FifoOrderAndByteAccounting) {
   SkBuffQueue q;
   EXPECT_TRUE(q.empty());
