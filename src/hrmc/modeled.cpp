@@ -26,6 +26,7 @@ ModeledReceiver::ModeledReceiver(net::Host& host, const Config& cfg,
       population_(std::max<std::uint32_t>(population, 1)),
       leaf_loss_(std::clamp(leaf_loss, 0.0, 1.0)),
       leaf_log1mp_(std::log1p(-leaf_loss_)),
+      no_loss_draw_(no_loss_draw_bound(population_, leaf_log1mp_)),
       rng_(sim::substream_seed(
           sim::substream_seed(cfg.feedback_seed, "modeled-rx"),
           std::to_string(host.addr()))),
@@ -70,6 +71,12 @@ sim::SimTime ModeledReceiver::nak_interval() const {
 // Statistical loss model
 // --------------------------------------------------------------------
 
+std::uint64_t no_loss_draw_bound(std::uint64_t n, double log1mp) {
+  // The first skip is at least n iff u >= 1 - (1-p)^n.
+  const double q = -std::expm1(static_cast<double>(n) * log1mp);
+  return static_cast<std::uint64_t>(std::ceil(q * (1.0 + 1e-9) * 0x1.0p53));
+}
+
 std::uint32_t ModeledReceiver::draw_losses(std::uint64_t n, double p) {
   if (p <= 0.0 || n == 0) return 0;
   if (p >= 1.0) return static_cast<std::uint32_t>(n);
@@ -87,15 +94,20 @@ std::uint32_t ModeledReceiver::draw_losses(std::uint64_t n, double p) {
   }
   // Geometric skipping: expected O(n·p + 1) draws.
   const double log1mp = p == leaf_loss_ ? leaf_log1mp_ : std::log1p(-p);
+  std::uint64_t bits = rng_.next_u64() >> 11;  // as Rng::next_double
+  // The population draw mostly counts no loss: its first skip passes n
+  // from no_loss_draw_ on, which needs no libm call to tell.
+  if (n == population_ && p == leaf_loss_ && bits >= no_loss_draw_) return 0;
   std::uint64_t count = 0;
   std::uint64_t i = 0;
   while (true) {
-    const double u = rng_.next_double();
+    const double u = static_cast<double>(bits) * 0x1.0p-53;
     const auto skip = static_cast<std::uint64_t>(
         std::floor(std::log1p(-u) / log1mp));
     i += skip + 1;
     if (i > n) break;
     ++count;
+    bits = rng_.next_u64() >> 11;
   }
   return static_cast<std::uint32_t>(count);
 }

@@ -38,6 +38,13 @@
 
 namespace hrmc::proto {
 
+/// First 53-bit draw k (u = k·2^-53, as sim::Rng::next_double) from
+/// which the geometric skip floor(log1p(-u) / log1mp) is at least n, so
+/// a binomial draw over n leaves that starts with it counts no loss.
+/// It lies a relative 1e-9 above the exact bound, far beyond libm's
+/// error, so the libm path agrees at every k from it on.
+[[nodiscard]] std::uint64_t no_loss_draw_bound(std::uint64_t n, double log1mp);
+
 class ModeledReceiver final : public net::Transport {
  public:
   /// `population` leaves, each independently losing any given packet
@@ -117,6 +124,9 @@ class ModeledReceiver final : public net::Transport {
   std::uint32_t population_;
   double leaf_loss_;
   double leaf_log1mp_;  ///< log1p(-leaf_loss_), taken once for draw_losses
+  /// no_loss_draw_bound(population_, leaf_log1mp_): a population draw
+  /// whose first 53 bits reach it returns 0 without a libm call.
+  std::uint64_t no_loss_draw_;
 
   bool started_ = false;      ///< first DATA seen; baseline anchored
   bool joined_ = false;

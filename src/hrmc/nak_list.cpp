@@ -15,11 +15,9 @@ std::vector<NakRange> NakList::add_gap(Seq from, Seq to, sim::SimTime now) {
   std::vector<NakRange> fresh;
   if (!seq_before(from, to)) return fresh;
 
-  // Walk existing ranges, emitting the parts of [from, to) not already
+  // Walk existing ranges, collecting the parts of [from, to) not already
   // tracked. Existing ranges keep their suppression state.
   Seq cursor = from;
-  std::vector<NakRange> merged;
-  merged.reserve(ranges_.size() + 2);
   for (const NakRange& r : ranges_) {
     if (seq_before(cursor, to) && seq_before(cursor, r.from)) {
       const Seq piece_end = seq_min(to, r.from);
@@ -28,61 +26,54 @@ std::vector<NakRange> NakList::add_gap(Seq from, Seq to, sim::SimTime now) {
       }
     }
     if (seq_before(cursor, r.to)) cursor = seq_max(cursor, r.to);
-    merged.push_back(r);
   }
   if (seq_before(cursor, to)) {
     fresh.push_back(NakRange{cursor, to, now, 1});
   }
-  if (fresh.empty()) return fresh;
 
-  // Insert the fresh pieces and restore sorted order.
-  for (const NakRange& r : fresh) merged.push_back(r);
-  std::sort(merged.begin(), merged.end(),
-            [](const NakRange& a, const NakRange& b) {
-              return seq_before(a.from, b.from);
-            });
-  ranges_ = std::move(merged);
+  // Insert the fresh pieces (ascending, each in a gap between existing
+  // ranges) at their sorted places.
+  auto at = ranges_.begin();
+  for (const NakRange& r : fresh) {
+    while (at != ranges_.end() && seq_before(at->from, r.from)) ++at;
+    at = ranges_.insert(at, r) + 1;
+  }
   return fresh;
 }
 
 void NakList::fill(Seq from, Seq to) {
-  // Nothing pending, the common case for in-order data: return before
-  // building a vector.
-  if (ranges_.empty() || !seq_before(from, to)) return;
-  std::vector<NakRange> out;
-  out.reserve(ranges_.size() + 1);
-  for (const NakRange& r : ranges_) {
+  if (!seq_before(from, to)) return;
+  for (auto it = ranges_.begin(); it != ranges_.end();) {
     // No overlap: keep whole.
-    if (seq_before_eq(r.to, from) || seq_before_eq(to, r.from)) {
-      out.push_back(r);
+    if (seq_before_eq(it->to, from) || seq_before_eq(to, it->from)) {
+      ++it;
       continue;
     }
-    // Left remainder.
-    if (seq_before(r.from, from)) {
-      NakRange left = r;
-      left.to = from;
-      out.push_back(left);
-    }
-    // Right remainder.
-    if (seq_before(to, r.to)) {
-      NakRange right = r;
-      right.from = to;
-      out.push_back(right);
+    const bool left = seq_before(it->from, from);  // left remainder
+    const bool right = seq_before(to, it->to);     // right remainder
+    if (left && right) {
+      NakRange tail = *it;
+      tail.from = to;
+      it->to = from;
+      it = ranges_.insert(it + 1, tail) + 1;
+    } else if (left) {
+      it->to = from;
+      ++it;
+    } else if (right) {
+      it->from = to;
+      ++it;
+    } else {
+      it = ranges_.erase(it);
     }
   }
-  ranges_ = std::move(out);
 }
 
 void NakList::ack_through(Seq seq) {
-  std::vector<NakRange> out;
-  out.reserve(ranges_.size());
-  for (const NakRange& r : ranges_) {
-    if (seq_before_eq(r.to, seq)) continue;  // fully satisfied
-    NakRange keep = r;
-    if (seq_before(keep.from, seq)) keep.from = seq;
-    out.push_back(keep);
+  std::erase_if(ranges_,
+                [seq](const NakRange& r) { return seq_before_eq(r.to, seq); });
+  for (NakRange& r : ranges_) {
+    if (seq_before(r.from, seq)) r.from = seq;
   }
-  ranges_ = std::move(out);
 }
 
 std::size_t NakList::defer(Seq from, Seq to, sim::SimTime until) {

@@ -47,7 +47,7 @@ HrmcReceiver::HrmcReceiver(net::Host& host, const Config& cfg,
       feedback_rng_(sim::substream_seed(
           sim::substream_seed(cfg.feedback_seed, "nak-backoff"),
           std::to_string(host.addr()))) {
-  rcv_wnd_ = rcv_nxt_ = cfg_.initial_seq;
+  rcv_wnd_ = rcv_nxt_ = nak_mark_ = cfg_.initial_seq;
   fec_anchor_ = cfg_.initial_seq;
 }
 
@@ -139,6 +139,7 @@ void HrmcReceiver::crash() {
   out_of_order_queue_.clear();
   ooo_bytes_ = 0;
   nak_list_.clear();
+  nak_mark_ = rcv_nxt_;
   mem_uncharge_fec_caches();
   fec_cache_.clear();
   fec_parity_cache_.clear();
@@ -491,19 +492,26 @@ void HrmcReceiver::drain_out_of_order() {
 
 void HrmcReceiver::nak_holes_up_to(Seq upto) {
   const sim::SimTime now = host_.scheduler().now();
-  Seq cursor = rcv_nxt_;
   std::vector<NakRange> fresh;
-  for (const OooSeg& seg : out_of_order_queue_) {
-    if (seq_after_eq(seg.begin, upto)) break;
-    if (seq_before(cursor, seg.begin)) {
-      auto f = nak_list_.add_gap(cursor, seg.begin, now);
-      fresh.insert(fresh.end(), f.begin(), f.end());
-    }
-    cursor = seq_max(cursor, seg.end);
-  }
-  if (seq_before(cursor, upto)) {
-    auto f = nak_list_.add_gap(cursor, upto, now);
+  const auto add_gap = [&](Seq from, Seq to) {
+    auto f = nak_list_.add_gap(from, to, now);
     fresh.insert(fresh.end(), f.begin(), f.end());
+  };
+  // A walk from rcv_nxt_ would find only gaps below nak_mark_ that the
+  // NAK list already covers, so it starts at the mark, at the first
+  // segment that ends past it (the queue is sorted and non-overlapping).
+  if (seq_before(nak_mark_, upto)) {
+    Seq cursor = nak_mark_;
+    auto seg = std::partition_point(
+        out_of_order_queue_.begin(), out_of_order_queue_.end(),
+        [cursor](const OooSeg& s) { return seq_before_eq(s.end, cursor); });
+    for (; seg != out_of_order_queue_.end() && seq_before(seg->begin, upto);
+         ++seg) {
+      if (seq_before(cursor, seg->begin)) add_gap(cursor, seg->begin);
+      cursor = seq_max(cursor, seg->end);
+    }
+    if (seq_before(cursor, upto)) add_gap(cursor, upto);
+    nak_mark_ = upto;
   }
   if (fresh.empty() && seq_before(rcv_nxt_, upto)) {
     // A hole existed but every byte of it is already pending: local NAK
@@ -558,6 +566,7 @@ void HrmcReceiver::process_peer_nak(const Header& h, net::Addr from) {
 
 void HrmcReceiver::after_stream_advance() {
   nak_list_.ack_through(rcv_nxt_);
+  nak_mark_ = seq_max(nak_mark_, rcv_nxt_);
   rearm_nak_timer();
   if (complete() && !complete_reported_) {
     complete_reported_ = true;
@@ -612,14 +621,19 @@ void HrmcReceiver::check_flow_control(std::uint32_t advertised_rate) {
 
 void HrmcReceiver::fec_cache_store(Seq begin, const kern::SkBuff& payload) {
   // Arrival order ~= sequence order; refreshing duplicates is pointless.
-  for (const FecCacheEntry& e : fec_cache_) {
-    if (e.begin == begin) return;
+  // A begin past every cached one, the common case, skips the scan.
+  const bool newest = fec_cache_.empty() || seq_after(begin, fec_cache_high_);
+  if (!newest) {
+    for (const FecCacheEntry& e : fec_cache_) {
+      if (e.begin == begin) return;
+    }
   }
   // Fallible allocation: an uncacheable shard only costs FEC its chance
   // to decode this group — ARQ still recovers (fec_note_decode_fail).
   // The ledger charges the payload bytes the shard pins, as it would
   // for a private copy.
   if (!mem_charge(kern::MemComponent::kFecData, payload.size())) return;
+  if (newest) fec_cache_high_ = begin;
   fec_cache_.push_back(FecCacheEntry{begin, payload.clone()});
   const std::size_t cap =
       std::max<std::size_t>(1, kFecCacheGroups * cfg_.fec_group);
@@ -640,12 +654,13 @@ const HrmcReceiver::FecCacheEntry* HrmcReceiver::fec_cache_find(
 
 bool HrmcReceiver::holds_bytes(Seq begin, Seq end) const {
   if (seq_before_eq(end, rcv_nxt_)) return true;  // already in the stream
-  for (const OooSeg& seg : out_of_order_queue_) {
-    if (seq_before_eq(seg.begin, begin) && seq_after_eq(seg.end, end)) {
-      return true;
-    }
-  }
-  return false;
+  // The queue is sorted and non-overlapping: only the first segment
+  // ending at or past `end` can contain [begin, end).
+  const auto seg = std::partition_point(
+      out_of_order_queue_.begin(), out_of_order_queue_.end(),
+      [end](const OooSeg& s) { return seq_before(s.end, end); });
+  return seg != out_of_order_queue_.end() &&
+         seq_before_eq(seg->begin, begin) && seq_after_eq(seg->end, end);
 }
 
 void HrmcReceiver::process_fec(const Header& h, kern::SkBuffPtr skb) {
@@ -939,7 +954,7 @@ void HrmcReceiver::process_join_response(const Header& h) {
       // Crash-restart resync: re-anchor the stream at the sender's
       // current position (JOIN_RESPONSE carries snd_nxt). History
       // before it is abandoned — late-join semantics, not recovery.
-      rcv_wnd_ = rcv_nxt_ = h.seq;
+      rcv_wnd_ = rcv_nxt_ = nak_mark_ = h.seq;
       // Restarting mid-FEC-group: anything cached belongs to the
       // abandoned pre-crash stream position, and a parity group that
       // straddles the new anchor can never be trusted (its pre-anchor
@@ -999,6 +1014,9 @@ void HrmcReceiver::process_nak_err(const Header& h) {
     drain_out_of_order();
     after_stream_advance();
   }
+  // Given-up bytes above rcv_nxt_ left the NAK list while still missing,
+  // so the watermark's claim no longer holds for them.
+  nak_mark_ = rcv_nxt_;
   rearm_nak_timer();
 }
 

@@ -156,6 +156,16 @@ class HrmcReceiver final : public net::Transport {
   [[nodiscard]] sim::SimTime srtt() const { return rtt_.srtt(); }
   /// Pending NAK ranges still awaiting repair (time-series sampling).
   [[nodiscard]] std::size_t nak_backlog() const { return nak_list_.size(); }
+  /// Those ranges, sorted and disjoint.
+  [[nodiscard]] const std::vector<NakRange>& nak_ranges() const {
+    return nak_list_.ranges();
+  }
+  /// Every byte in [rcv_nxt(), nak_watermark()) is held out of order or
+  /// pending in nak_ranges(), so the NAK-hole walk starts here.
+  [[nodiscard]] kern::Seq nak_watermark() const { return nak_mark_; }
+  /// True when [begin, end) is in the stream already or inside one
+  /// buffered out-of-order segment.
+  [[nodiscard]] bool holds_bytes(kern::Seq begin, kern::Seq end) const;
   /// Current flow-control region: 0 safe, 1 warning, 2 critical.
   [[nodiscard]] int flow_region() const { return fc_region_; }
 
@@ -220,6 +230,8 @@ class HrmcReceiver final : public net::Transport {
   void drain_out_of_order();
   /// Finds the holes in [rcv_nxt_, upto) not covered by buffered
   /// segments, records them in the NAK list, and NAKs the new ones.
+  /// Walks only from nak_mark_, below which add_gap would return
+  /// nothing, and raises the mark to `upto`.
   void nak_holes_up_to(kern::Seq upto);
   void after_stream_advance();
 
@@ -326,6 +338,11 @@ class HrmcReceiver final : public net::Transport {
   std::size_t ooo_bytes_ = 0;
 
   NakList nak_list_;
+  /// NAK watermark, never before rcv_nxt_: every byte in [rcv_nxt_,
+  /// nak_mark_) is in out_of_order_queue_ or nak_list_. A path that takes
+  /// NAK-list coverage from bytes still missing (NAK_ERR, crash, resync)
+  /// drops it back to rcv_nxt_ (DESIGN.md §9).
+  kern::Seq nak_mark_ = 0;
   RttEstimator rtt_;
   ReceiverStats stats_;
   trace::TraceSink trace_;
@@ -344,9 +361,11 @@ class HrmcReceiver final : public net::Transport {
   };
   void fec_cache_store(kern::Seq begin, const kern::SkBuff& payload);
   [[nodiscard]] const FecCacheEntry* fec_cache_find(kern::Seq begin) const;
-  [[nodiscard]] bool holds_bytes(kern::Seq begin, kern::Seq end) const;
   void splice_reconstructed(kern::Seq begin, kern::SkBuffPtr skb);
   std::deque<FecCacheEntry> fec_cache_;
+  /// Upper bound of the cached begins: the largest begin pushed since
+  /// fec_cache_ was last empty. A begin past it cannot be a duplicate.
+  kern::Seq fec_cache_high_ = 0;
   /// Parity shards held per group, keyed by (group begin, row index):
   /// with r > 1 the first parity of a group may arrive while decode
   /// still needs a sibling row, so rows are cached until the group

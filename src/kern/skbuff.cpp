@@ -243,11 +243,6 @@ void SkBuffQueue::push_back(SkBuffPtr skb) {
   items_.push_back(std::move(skb));
 }
 
-void SkBuffQueue::push_front(SkBuffPtr skb) {
-  bytes_ += skb->size();
-  items_.push_front(std::move(skb));
-}
-
 SkBuffPtr SkBuffQueue::pop_front() {
   if (items_.empty()) return nullptr;
   SkBuffPtr skb = std::move(items_.front());

@@ -253,7 +253,6 @@ class SkBuff final {
 class SkBuffQueue {
  public:
   void push_back(SkBuffPtr skb);
-  void push_front(SkBuffPtr skb);
 
   /// Pops the front buffer; returns nullptr if empty.
   SkBuffPtr pop_front();

@@ -430,6 +430,27 @@ TEST_F(FecTest, EvictedSiblingMidGroupFailsDecode) {
   EXPECT_EQ(rcv_->available(), kMss);  // only shard 0 in order
 }
 
+TEST_F(FecTest, RetransmittedDuplicateBelowTheCacheBoundIsFound) {
+  // The cache skips its duplicate scan only for a begin past every
+  // cached one. Retransmissions of packets 4 and 5, below that bound,
+  // must still be found: a second entry each would fill the cache and
+  // evict packets 0 and 1 early, and the late parity could no longer
+  // rebuild packet 2.
+  const int cap = static_cast<int>(kFecCacheGroups * 4);
+  send_data(0 * kMss);
+  send_data(1 * kMss);
+  for (int p = 3; p < cap; ++p) send_data(p * kMss);  // cap - 1 entries
+  send_data(4 * kMss);
+  send_data(5 * kMss);
+  send_data(cap * kMss);  // the cache is now exactly full
+  send_fec(0);
+  run_for(sim::milliseconds(50));
+  EXPECT_EQ(rcv_->stats().duplicate_packets, 2u);
+  EXPECT_EQ(rcv_->stats().fec_decode_failures, 0u);
+  EXPECT_EQ(rcv_->stats().fec_recoveries, 1u);
+  EXPECT_EQ(drain_verify(), (cap + 1) * kMss);
+}
+
 class FecWrapTest : public FecTest {
  protected:
   void SetUp() override {

@@ -60,6 +60,15 @@ class ReceiverTest : public ::testing::Test {
               std::uint32_t rate = 1'000'000, bool urg = false,
               bool fin = false, std::uint64_t pattern_base = 0,
               bool has_payload = false) {
+    topo_->sender().send(packet(type, seq, length, rate, urg, fin,
+                                pattern_base, has_payload));
+  }
+
+  /// The packet inject() sends, addressed to the group.
+  static kern::SkBuffPtr packet(PacketType type, kern::Seq seq,
+                                std::uint32_t length, std::uint32_t rate,
+                                bool urg, bool fin, std::uint64_t pattern_base,
+                                bool has_payload) {
     auto skb = kern::SkBuff::alloc(has_payload ? length : 0,
                                    Header::kSize + 44);
     if (has_payload) {
@@ -78,7 +87,7 @@ class ReceiverTest : public ::testing::Test {
     write_header(*skb, h);
     skb->daddr = kGroup;
     skb->protocol = kIpProtoHrmc;
-    topo_->sender().send(std::move(skb));
+    return skb;
   }
 
   /// DATA packet with pattern payload; stream offset = seq - initial.
@@ -463,6 +472,142 @@ TEST_F(ReceiverTest, ModeledFinOnDuplicateRetransmissionCompletes) {
   EXPECT_EQ(completions, 1);
   EXPECT_EQ(at_sender_.of_type(PacketType::kAggUpdate).size(), aggs + 1);
   pop.stop();
+}
+
+TEST_F(ReceiverTest, HoldsBytesOnlyInsideOneSegment) {
+  make_receiver(Config{});
+  constexpr kern::Seq k0 = Config::kInitialSeq;
+  send_data(k0, 1000);
+  send_data(k0 + 2000, 1000);  // two adjacent out-of-order segments
+  send_data(k0 + 3000, 1000);
+  send_data(k0 + 5000, 1000);
+  run_for(sim::milliseconds(50));
+  ASSERT_EQ(rcv_->rcv_nxt(), k0 + 1000);
+  EXPECT_TRUE(rcv_->holds_bytes(k0, k0 + 1000));  // in the stream
+  EXPECT_TRUE(rcv_->holds_bytes(k0 + 2000, k0 + 3000));
+  EXPECT_TRUE(rcv_->holds_bytes(k0 + 2200, k0 + 2800));
+  EXPECT_TRUE(rcv_->holds_bytes(k0 + 3000, k0 + 4000));
+  EXPECT_TRUE(rcv_->holds_bytes(k0 + 5999, k0 + 6000));
+  // A shard straddling the two adjacent segments is not held by either.
+  EXPECT_FALSE(rcv_->holds_bytes(k0 + 2500, k0 + 3500));
+  EXPECT_FALSE(rcv_->holds_bytes(k0 + 2000, k0 + 4000));
+  EXPECT_FALSE(rcv_->holds_bytes(k0 + 500, k0 + 1500));  // runs into the hole
+  EXPECT_FALSE(rcv_->holds_bytes(k0 + 1500, k0 + 2500));
+  EXPECT_FALSE(rcv_->holds_bytes(k0 + 3500, k0 + 5500));
+  EXPECT_FALSE(rcv_->holds_bytes(k0 + 5500, k0 + 6500));
+  EXPECT_FALSE(rcv_->holds_bytes(k0 + 7000, k0 + 8000));
+}
+
+TEST_F(ReceiverTest, NakWatermarkClaimHoldsAfterEveryPacket) {
+  // The NAK-hole walk starts at nak_watermark(), which is exact only
+  // while every byte in [rcv_nxt, watermark) is held out of order or
+  // pending in the NAK list. A random script of in-order, out-of-order,
+  // duplicate and overlapping DATA, probes and keepalives, NAK_ERR above
+  // rcv_nxt, evictions under a squeezed memory budget and crash/restart
+  // resyncs checks that after every packet. Packets go straight to rx(),
+  // and every boundary is a multiple of kCell, so checking the first
+  // byte of each cell checks every byte.
+  constexpr std::uint32_t kCell = 64;
+  kern::MemAccountant mem(48 * 1024, 5);
+  topo_->receiver(0).set_mem_accountant(mem);
+  Config cfg;
+  cfg.rcvbuf = 64 * 1024;
+  HrmcReceiver rcv(topo_->receiver(0), cfg, net::Endpoint{kGroup, kPort},
+                   topo_->sender().addr());
+  rcv.open();
+  run_for(sim::milliseconds(50));
+
+  const auto deliver = [&](PacketType type, kern::Seq seq,
+                           std::uint32_t length) {
+    auto skb = packet(type, seq, length, 1'000'000, false, false,
+                      seq - Config::kInitialSeq, type == PacketType::kData);
+    skb->saddr = topo_->sender().addr();
+    rcv.rx(std::move(skb));
+  };
+  std::uint64_t claimed_cells = 0;  // cells the walk skipped, summed
+  const auto check = [&] {
+    const kern::Seq nxt = rcv.rcv_nxt();
+    const kern::Seq mark = rcv.nak_watermark();
+    ASSERT_FALSE(kern::seq_before(mark, nxt));
+    const std::vector<NakRange>& pending = rcv.nak_ranges();
+    auto r = pending.begin();
+    for (kern::Seq s = nxt; kern::seq_before(s, mark); s += kCell) {
+      while (r != pending.end() && kern::seq_before_eq(r->to, s)) ++r;
+      const bool nak = r != pending.end() && kern::seq_before_eq(r->from, s);
+      ASSERT_TRUE(nak || rcv.holds_bytes(s, s + 1))
+          << "byte " << s - Config::kInitialSeq << " below the watermark "
+          << mark - Config::kInitialSeq << " is neither held nor pending";
+      ++claimed_cells;
+    }
+  };
+
+  sim::Rng rng(20261021);
+  const auto cells = [&](std::int64_t lo, std::int64_t hi) {
+    return static_cast<std::uint32_t>(rng.uniform_int(lo, hi)) * kCell;
+  };
+  kern::Seq top = Config::kInitialSeq;  // the sender's next new byte
+  int crashes = 0;
+  for (int step = 0; step < 3000; ++step) {
+    if (rng.next_double() < 0.2) {
+      std::vector<std::uint8_t> buf(cells(1, 256));
+      rcv.recv(buf);  // the application frees buffer space
+    }
+    const kern::Seq nxt = rcv.rcv_nxt();
+    const double pick = rng.next_double();
+    if (kern::seq_diff(nxt, top) > 32 * 1024 || pick < 0.15) {
+      // Repair the head of the stream (or a random hole near it).
+      const kern::Seq begin = nxt + cells(0, 8);
+      const std::uint32_t len = cells(1, 24);
+      deliver(PacketType::kData, begin, len);
+      top = kern::seq_max(top, begin + len);
+    } else if (pick < 0.45) {
+      const std::uint32_t len = cells(1, 24);
+      if (rng.next_double() < 0.7) deliver(PacketType::kData, top, len);
+      top += len;  // otherwise lost on the way
+    } else if (pick < 0.60) {
+      // Duplicate or overlapping retransmission anywhere near the stream.
+      const auto back = static_cast<std::int64_t>(
+          kern::seq_diff(nxt, top) / kCell);
+      deliver(PacketType::kData, nxt + cells(-16, std::max<std::int64_t>(back, 0)),
+              cells(1, 24));
+    } else if (pick < 0.66) {
+      deliver(rng.next_double() < 0.5 ? PacketType::kProbe
+                                      : PacketType::kKeepalive,
+              top + cells(0, 4), 0);
+    } else if (pick < 0.70) {
+      // NAK_ERR, mostly for bytes above rcv_nxt: they leave the NAK list
+      // while still missing.
+      deliver(PacketType::kNakErr, nxt + cells(-2, 32), cells(1, 16));
+    } else if (pick < 0.74) {
+      // Squeeze the budget on or off; the next DATA evicts the farthest
+      // out-of-order segments and puts their bytes back on the NAK list.
+      mem.set_squeeze(rng.next_double() < 0.5 ? 0.8 : 0.0);
+      const std::uint32_t len = cells(1, 8);
+      deliver(PacketType::kData, top, len);
+      top += len;
+    } else if (pick < 0.75) {
+      ++crashes;
+      rcv.crash();
+      rcv.restart();
+      top += cells(0, 64);
+      deliver(PacketType::kJoinResponse, top, 0);  // resync anchor
+    } else if (pick < 0.85) {
+      continue;  // no packet this step
+    } else {
+      run_for(sim::milliseconds(rng.uniform_int(1, 40)));  // NAK timers
+    }
+    check();
+    if (HasFatalFailure()) return;
+  }
+  // The script reached every path it claims to mix in.
+  const ReceiverStats& st = rcv.stats();
+  EXPECT_GT(st.out_of_order_packets, 1000u);
+  EXPECT_GT(st.duplicate_packets, 100u);
+  EXPECT_GT(st.nak_errs_received, 50u);
+  EXPECT_GT(st.ooo_evictions, 100u);
+  EXPECT_GT(crashes, 10);
+  EXPECT_GT(claimed_cells, 100'000u);
+  rcv.stop();
 }
 
 class TwoReceiverTest : public ReceiverTest {

@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <vector>
 
 #include "harness/scenario.hpp"
 #include "hrmc/member.hpp"
+#include "hrmc/modeled.hpp"
 #include "hrmc/wire.hpp"
 #include "net/fault.hpp"
 #include "same_counters.hpp"
@@ -320,6 +322,52 @@ TEST(ScaleModeled, PopulationCompletesDeterministically) {
   EXPECT_EQ(a.events_executed, b.events_executed);
   EXPECT_EQ(a.rng_digest, b.rng_digest);
   harness::expect_same_counters(a, b);
+}
+
+TEST(ScaleModeled, NoLossEarlyOutAgreesWithLibm) {
+  // A population draw whose first 53 bits k reach no_loss_draw_bound
+  // returns 0 without a libm call. The libm path must end that draw with
+  // no loss as well: its first skip floor(log1p(-u) / log1p(-p)) passes
+  // n. Checked at every k within 2^16 of the bound and at 10^6 random k,
+  // for leaf counts and loss rates around the modeled workloads' (all in
+  // draw_losses' geometric branch, n·p <= 64).
+  struct Case {
+    std::uint64_t n;
+    double p;
+  };
+  sim::Rng rng(1'000'003);
+  for (const Case c : {Case{1000, 1e-5}, Case{1000, 1e-4}, Case{10'000, 1e-3},
+                       Case{5000, 2e-3}, Case{100, 0.01}, Case{1, 0.3}}) {
+    const double log1mp = std::log1p(-c.p);
+    const std::uint64_t bound = proto::no_loss_draw_bound(c.n, log1mp);
+    ASSERT_LT(bound, std::uint64_t{1} << 53) << "n " << c.n << " p " << c.p;
+    const auto libm_no_loss = [&](std::uint64_t k) {
+      const double u = static_cast<double>(k) * 0x1.0p-53;
+      const auto skip =
+          static_cast<std::uint64_t>(std::floor(std::log1p(-u) / log1mp));
+      return skip + 1 > c.n;
+    };
+    // Below the bound the early-out does not fire and the libm path runs.
+    const auto agrees = [&](std::uint64_t k) {
+      return k < bound || libm_no_loss(k);
+    };
+    for (std::uint64_t k = bound - (1 << 16); k <= bound + (1 << 16); ++k) {
+      ASSERT_TRUE(agrees(k)) << "n " << c.n << " p " << c.p << " k " << k;
+    }
+    for (int i = 0; i < 1'000'000; ++i) {
+      const std::uint64_t k = rng.next_u64() >> 11;
+      ASSERT_TRUE(agrees(k)) << "n " << c.n << " p " << c.p << " k " << k;
+    }
+    // The bound sits a relative 1e-9 above libm's own threshold: libm
+    // counts no loss half the margin below it, and a loss a whole
+    // margin and more below it.
+    const auto below = [&](double rel) {
+      return static_cast<std::uint64_t>(static_cast<double>(bound) *
+                                        (1.0 - rel));
+    };
+    EXPECT_TRUE(libm_no_loss(below(5e-10))) << "n " << c.n << " p " << c.p;
+    EXPECT_FALSE(libm_no_loss(below(2e-9))) << "n " << c.n << " p " << c.p;
+  }
 }
 
 TEST(ScaleModeled, EvictionPoliciesCompleteAt10kLeaves) {

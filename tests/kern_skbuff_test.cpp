@@ -406,13 +406,13 @@ TEST(SkBuffQueue, FifoOrderAndByteAccounting) {
   EXPECT_EQ(q.bytes(), 0u);
 }
 
-TEST(SkBuffQueue, PushFrontAndEraseMaintainBytes) {
+TEST(SkBuffQueue, ClearMaintainsBytes) {
   SkBuffQueue q;
   auto a = SkBuff::alloc(10); a->put(2);
   auto b = SkBuff::alloc(10); b->put(4);
   q.push_back(std::move(a));
-  q.push_front(std::move(b));
-  EXPECT_EQ(q.front()->size(), 4u);
+  q.push_back(std::move(b));
+  EXPECT_EQ(q.front()->size(), 2u);
   EXPECT_EQ(q.bytes(), 6u);
   q.clear();
   EXPECT_EQ(q.bytes(), 0u);
