@@ -1,10 +1,10 @@
 // BENCH_*.json emitter: the machine-readable side of the bench suite.
 //
-// Every perf claim in the repository from this PR forward is backed by
-// a BENCH_*.json artifact (events/sec, ns/event, clone rates, wall time
-// per figure) so the trajectory is tracked in CI rather than asserted
-// in prose. The format is deliberately small and flat — name → numeric
-// metrics — so the CI gate can be a ten-line stdlib script.
+// Bench binaries write their numbers (wall time per figure, events/sec,
+// speedups, time series) to a BENCH_*.json file beside the table they
+// print. The format is deliberately small and flat: name → numeric
+// metrics. No CI gate reads these files; a binary that enforces a floor
+// does so through its exit status.
 #pragma once
 
 #include <cstdint>
@@ -24,8 +24,7 @@ class BenchReport {
   void metric(const std::string& name, const std::string& key, double value);
 
   /// Attaches a time-series curve to entry `name` (rendered as a
-  /// `"series"` object next to `"metrics"`). The gate script only reads
-  /// `"metrics"`, so series are plot fodder, never gated.
+  /// `"series"` object next to `"metrics"`), for plotting.
   void series(const std::string& name, const std::string& key,
               std::vector<double> values);
 

@@ -13,6 +13,7 @@
 //       that produced it) and reports the oracle verdict. Exits 0 when
 //       the oracle passes, 1 when it fails — replaying a genuine repro
 //       therefore exits 1 with the same failure line every time.
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -78,18 +79,22 @@ int main(int argc, char** argv) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // Reads the next argument, whole, into `out`: false when it is
+    // missing, not a number, has trailing characters, carries a sign an
+    // unsigned `out` cannot take, or is out of range.
+    const auto next_number = [&](auto& out) {
+      const char* v = next();
+      if (!v) return false;
+      const char* end = v + std::strlen(v);
+      const auto [ptr, ec] = std::from_chars(v, end, out);
+      return ec == std::errc{} && ptr == end;
+    };
     if (arg == "--seeds") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      seeds = std::atoi(v);
+      if (!next_number(seeds) || seeds <= 0) return usage(argv[0]);
     } else if (arg == "--start") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      start = std::strtoull(v, nullptr, 10);
+      if (!next_number(start)) return usage(argv[0]);
     } else if (arg == "--threads") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      threads = static_cast<unsigned>(std::atoi(v));
+      if (!next_number(threads)) return usage(argv[0]);
     } else if (arg == "--repro-dir") {
       const char* v = next();
       if (!v) return usage(argv[0]);
@@ -105,16 +110,15 @@ int main(int argc, char** argv) {
       // per-host budget plus squeeze / alloc-fail windows.
       mem = true;
     } else if (arg == "--shrink-budget") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      shrink_budget = std::atoi(v);
+      if (!next_number(shrink_budget) || shrink_budget < 0) {
+        return usage(argv[0]);
+      }
     } else {
       return usage(argv[0]);
     }
   }
 
   if (!replay_file.empty()) return replay(replay_file);
-  if (seeds <= 0) return usage(argv[0]);
 
   const auto outcomes = hrmc::harness::sweep(start, seeds, threads, mem);
   int failures = 0;

@@ -17,6 +17,8 @@
 // driver exits 1. Long blackouts are event-sparse, so sim time is far
 // cheaper than wall time: the default 10 sim-minutes is a CI smoke
 // slice; nightly runs pass --sim-minutes 120 or more.
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -68,22 +70,31 @@ int main(int argc, char** argv) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // Reads the next argument, whole, into `out`: false when it is
+    // missing, not a number, has trailing characters, carries a sign an
+    // unsigned `out` cannot take, or is out of range.
+    const auto next_number = [&](auto& out) {
+      const char* v = next();
+      if (!v) return false;
+      const char* end = v + std::strlen(v);
+      const auto [ptr, ec] = std::from_chars(v, end, out);
+      return ec == std::errc{} && ptr == end;
+    };
     if (arg == "--sim-minutes") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      sim_minutes = std::atof(v);
+      if (!next_number(sim_minutes) || !std::isfinite(sim_minutes) ||
+          sim_minutes <= 0) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      seed = std::strtoull(v, nullptr, 10);
+      if (!next_number(seed)) return usage(argv[0]);
     } else if (arg == "--out") {
       const char* v = next();
       if (!v) return usage(argv[0]);
       out_dir = v;
     } else if (arg == "--max-segments") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      max_segments = std::atoi(v);
+      if (!next_number(max_segments) || max_segments <= 0) {
+        return usage(argv[0]);
+      }
     } else {
       return usage(argv[0]);
     }

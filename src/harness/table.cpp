@@ -42,16 +42,4 @@ void Table::print(std::ostream& os) const {
   for (const auto& row : rows_) emit_row(row);
 }
 
-void Table::print_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c != 0) os << ',';
-      os << row[c];
-    }
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-}
-
 }  // namespace hrmc::harness

@@ -22,9 +22,6 @@ class Table {
   /// Renders with a header rule and right-aligned numeric-looking cells.
   void print(std::ostream& os) const;
 
-  /// Comma-separated dump (for plotting).
-  void print_csv(std::ostream& os) const;
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

@@ -41,8 +41,8 @@ class SkBuff;
 using SkBuffPtr = std::unique_ptr<SkBuff>;
 
 /// Hot-path counters for this thread's buffer pool. Cheap enough to
-/// keep always-on; the bench harness resets them per workload and
-/// reports clone/COW rates in BENCH_core.json.
+/// keep always-on; perfbench reports their deltas across a run as
+/// clone/COW rates per delivered packet (`kern.clones_per_pkt`).
 struct SkBuffStats {
   std::uint64_t block_allocs = 0;  ///< fresh heap allocations
   std::uint64_t pool_hits = 0;     ///< blocks recycled from the free list

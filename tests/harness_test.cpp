@@ -73,14 +73,6 @@ TEST(Table, PrintsAlignedColumns) {
   EXPECT_NE(out.find("----"), std::string::npos);
 }
 
-TEST(Table, CsvOutput) {
-  Table t({"a", "b"});
-  t.add_row({"1", "2"});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n");
-}
-
 TEST(Table, FormatsDoubles) {
   EXPECT_EQ(fmt(3.14159, 2), "3.14");
   EXPECT_EQ(fmt(10.0, 0), "10");
